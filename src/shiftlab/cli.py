@@ -8,7 +8,8 @@ fields, so identical inputs give byte-identical output.
 Exit codes: 0 when the requested property holds or a verdict was computed,
 1 when a checked property fails (the witness is in the report), 2 for input
 errors (malformed JSON, bad rationals, unknown models) with the offending
-position named.
+position named, 3 for an internal error (any other exception), reported as
+one ``internal error:`` line on stderr without a traceback.
 
 Decimal renderings honor SHIFTLAB_PRECISION (significant digits, default
 12, round-half-even).  They decorate reports only; no verdict ever reads
@@ -35,11 +36,11 @@ from .shift2d import (
     six_point_data,
 )
 
-INPUT_ERRORS = (ExactInputError, MeasureError, ShiftError, GridError, SFCError)
-
-
 class CliInputError(ValueError):
     pass
+
+
+INPUT_ERRORS = (CliInputError, ExactInputError, MeasureError, ShiftError, GridError, SFCError)
 
 
 def _digits() -> int:
@@ -382,12 +383,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Exit 1 means "witness found", so a fault in shiftlab itself gets
+        # its own code instead of passing for a verdict.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

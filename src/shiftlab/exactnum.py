@@ -8,9 +8,10 @@ exact questions answered here:
 * is ``A1*A2 >= (sqrt(P) - sqrt(Q))**2`` for rational ``A1, A2, P, Q``,
 * is a rational-coefficient polynomial nonnegative on a rational interval.
 
-The first is settled by principal minors, the second by eliminating the
-radical (compare ``L = A1*A2 - P - Q`` against ``-2*sqrt(P*Q)`` via squaring),
-and the third by Sturm root counting with endpoint and sample sign checks.
+The first is settled by one exact symmetric (LDL^T) elimination with a
+zero-pivot rule, the second by eliminating the radical (compare
+``L = A1*A2 - P - Q`` against ``-2*sqrt(P*Q)`` via squaring), and the third
+by Sturm root counting with endpoint and sample sign checks.
 No floating point is used anywhere in this module.
 
 Polynomials are plain lists of Fractions in ascending degree order,
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
-from itertools import combinations
 
 Rat = Fraction
 
@@ -56,6 +56,22 @@ def parse_rational(text: str) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ExactInputError(f"malformed rational: {part.strip()!r}") from exc
     return total
+
+
+def parse_rational_field(value: object, where: str, error: type[ValueError]) -> Fraction:
+    """Read a rational from a JSON field: an integer or a rational string.
+
+    JSON ``true``/``false`` are refused even though ``bool`` is an ``int``.
+    Failures raise the caller's ``error`` class, prefixed with ``where``.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return parse_rational(value)
+        except ExactInputError as exc:
+            raise error(f"{where}: {exc}") from exc
+    raise error(f"{where}: expected a rational string, got {value!r}")
 
 
 def format_rational(q: Fraction) -> str:
@@ -132,32 +148,45 @@ def _check_symmetric(rows: Matrix) -> int:
     return n
 
 
-def _principal_minor(rows: Matrix, idx: tuple[int, ...]) -> Fraction:
-    return matrix_det([[rows[i][j] for j in idx] for i in idx])
-
-
 def psd_check(rows: Matrix) -> bool:
     """Decide positive semidefiniteness of a small symmetric rational matrix.
 
-    Fast path: when every leading principal minor of order 1..n-1 is strictly
-    positive, PSD is equivalent to det >= 0 (the nested-determinant shortcut,
-    valid for symmetric matrices).  Otherwise fall back to the complete
-    criterion: every nonempty principal minor is >= 0.
+    One exact symmetric (LDL^T) elimination: step k takes the pivot
+    d = a[k][k] of the current Schur complement.  A negative pivot means not
+    PSD.  A zero pivot is harmless only when the rest of its row is zero too
+    (the row then drops out of every later complement); a zero pivot with a
+    nonzero entry b beside it means not PSD, since that 2 x 2 principal
+    minor is det [[0, b], [b, c]] = -b**2 < 0.  Otherwise the rows below are
+    eliminated.  The rule is complete for symmetric matrices and costs
+    O(n**3).
 
     >>> one = Fraction(1)
     >>> psd_check([[one, one/2], [one/2, one/3]])
     True
     >>> psd_check([[one, 2*one], [2*one, one]])
     False
+    >>> psd_check([[one, one], [one, one]])
+    True
     """
     n = _check_symmetric(rows)
-    leading = [_principal_minor(rows, tuple(range(k))) for k in range(1, n)]
-    if all(m > 0 for m in leading):
-        return matrix_det(rows) >= 0
-    for size in range(1, n + 1):
-        for idx in combinations(range(n), size):
-            if _principal_minor(rows, idx) < 0:
+    # Only the upper triangle is kept current; the complement stays symmetric.
+    a = [list(row) for row in rows]
+    for k in range(n):
+        pivot_row = a[k]
+        d = pivot_row[k]
+        if d < 0:
+            return False
+        if d == 0:
+            if any(pivot_row[k + 1 :]):
                 return False
+            continue
+        inv = 1 / Fraction(d)  # exact even when the entries are ints
+        for i in range(k + 1, n):
+            factor = pivot_row[i] * inv
+            if factor:
+                row = a[i]
+                for j in range(i, n):
+                    row[j] -= factor * pivot_row[j]
     return True
 
 
@@ -217,10 +246,6 @@ def poly_add(p: Poly, q: Poly) -> Poly:
 
 def poly_neg(p: Poly) -> Poly:
     return [-c for c in p]
-
-
-def poly_sub(p: Poly, q: Poly) -> Poly:
-    return poly_add(p, poly_neg(q))
 
 
 def poly_scale(p: Poly, c: Fraction) -> Poly:

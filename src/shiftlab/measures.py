@@ -22,10 +22,9 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .exactnum import (
-    ExactInputError,
     Poly,
     format_rational,
-    parse_rational,
+    parse_rational_field,
     poly_add,
     poly_eval,
     poly_nonneg_on_interval,
@@ -323,25 +322,19 @@ def measure1d_from_json(obj: object, where: str = "measure") -> Measure1D:
     for i, pair in enumerate(obj.get("atoms", [])):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise MeasureError(f"{where}.atoms[{i}]: expected [point, mass]")
-        atoms.append((_rat(pair[0], f"{where}.atoms[{i}][0]"), _rat(pair[1], f"{where}.atoms[{i}][1]")))
+        point = parse_rational_field(pair[0], f"{where}.atoms[{i}][0]", MeasureError)
+        mass = parse_rational_field(pair[1], f"{where}.atoms[{i}][1]", MeasureError)
+        atoms.append((point, mass))
     segments = []
     for i, seg in enumerate(obj.get("segments", [])):
         if not isinstance(seg, dict) or not {"coeffs", "lo", "hi"} <= set(seg):
             raise MeasureError(f"{where}.segments[{i}]: expected coeffs/lo/hi")
-        coeffs = [_rat(c, f"{where}.segments[{i}].coeffs[{j}]") for j, c in enumerate(seg["coeffs"])]
-        segments.append((coeffs, _rat(seg["lo"], f"{where}.segments[{i}].lo"), _rat(seg["hi"], f"{where}.segments[{i}].hi")))
+        at = f"{where}.segments[{i}]"
+        coeffs = [parse_rational_field(c, f"{at}.coeffs[{j}]", MeasureError) for j, c in enumerate(seg["coeffs"])]
+        lo = parse_rational_field(seg["lo"], f"{at}.lo", MeasureError)
+        hi = parse_rational_field(seg["hi"], f"{at}.hi", MeasureError)
+        segments.append((coeffs, lo, hi))
     return make1d(atoms, segments)
-
-
-def _rat(value: object, where: str) -> Fraction:
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return parse_rational(value)
-        except ExactInputError as exc:
-            raise MeasureError(f"{where}: {exc}") from exc
-    raise MeasureError(f"{where}: expected a rational string, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +479,7 @@ def measure2d_from_json(obj: object, where: str = "measure2d") -> Measure2D:
             raise MeasureError(f"{where}.terms[{i}]: expected coeff/s/t")
         terms.append(
             (
-                _rat(term["coeff"], f"{where}.terms[{i}].coeff"),
+                parse_rational_field(term["coeff"], f"{where}.terms[{i}].coeff", MeasureError),
                 measure1d_from_json(term["s"], f"{where}.terms[{i}].s"),
                 measure1d_from_json(term["t"], f"{where}.terms[{i}].t"),
             )

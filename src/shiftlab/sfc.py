@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import parse_rational
+from .exactnum import parse_rational_field
 from .measures import (
     INFINITE,
     Measure1D,
@@ -313,8 +313,8 @@ def params_from_json(obj: object, where: str = "params") -> SFCParams:
         missing = missing + (["eta"] if eta1 is None and "eta" not in data else [])
         raise SFCError(f"{where}: missing field(s) {', '.join(missing)}")
     xi = measure1d_from_json(data["xi"], f"{where}.xi")
-    a_sq = _rat(data["a_sq"], f"{where}.a_sq")
-    y0_sq = _rat(data["y0_sq"], f"{where}.y0_sq")
+    a_sq = parse_rational_field(data["a_sq"], f"{where}.a_sq", SFCError)
+    y0_sq = parse_rational_field(data["y0_sq"], f"{where}.y0_sq", SFCError)
     if eta1 is not None:
         # reconstruct a column measure whose restriction is eta1: scale the
         # shifted-down measure so it integrates to one, then undo nothing;
@@ -351,14 +351,3 @@ def _unrestrict(eta1: Measure1D) -> Measure1D:
     if mass == 0:
         raise SFCError("restricted column measure is empty")
     return raw.scale(1 / mass)
-
-
-def _rat(value: object, where: str) -> Fraction:
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return parse_rational(value)
-        except ValueError as exc:
-            raise SFCError(f"{where}: {exc}") from exc
-    raise SFCError(f"{where}: expected a rational string, got {value!r}")

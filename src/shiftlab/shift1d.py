@@ -9,10 +9,10 @@ arithmetic; unsquared weights are never materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactnum import Matrix, format_rational, matrix_det, parse_rational, psd_check
+from .exactnum import Matrix, format_rational, matrix_det, parse_rational_field, psd_check
 from .measures import Measure1D, MeasureError
 
 TAIL_KINDS = ("constant", "bergman_like", "alpha_family", "beta_r_family", "none")
@@ -34,6 +34,10 @@ class WeightSeq:
 
     prefix_sq: tuple[Fraction, ...]
     tail: WeightTail
+    # Cumulative products gamma_0, gamma_1, ... computed so far; grown by gamma().
+    _gammas: list[Fraction] = field(
+        default_factory=lambda: [Fraction(1)], init=False, compare=False, hash=False, repr=False
+    )
 
     def weight_sq(self, k: int) -> Fraction:
         if k < 0:
@@ -72,13 +76,17 @@ class WeightSeq:
         return max(prefix_max, tail_sup)
 
     def gamma(self, up_to: int) -> list[Fraction]:
-        """Cumulative products [1, w0, w0*w1, ...] up to index up_to."""
+        """Cumulative products [1, w0, w0*w1, ...] up to index up_to.
+
+        Products are memoized on the instance and extended on demand; each
+        call returns a fresh list, so callers may mutate what they receive.
+        """
         if up_to < 0:
             raise ShiftError(f"negative moment bound {up_to}")
-        out = [Fraction(1)]
-        for k in range(up_to):
-            out.append(out[-1] * self.weight_sq(k))
-        return out
+        gammas = self._gammas
+        while len(gammas) <= up_to:
+            gammas.append(gammas[-1] * self.weight_sq(len(gammas) - 1))
+        return gammas[: up_to + 1]
 
     def to_json_obj(self) -> dict:
         tail: dict[str, object] = {"kind": self.tail.kind}
@@ -150,24 +158,16 @@ def weights_from_json(obj: object, where: str = "weights") -> WeightSeq:
     if raw_value is None:
         value = None
     elif kind == "bergman_like":
-        if not isinstance(raw_value, int):
+        if not isinstance(raw_value, int) or isinstance(raw_value, bool):
             raise ShiftError(f"{where}.tail.value: expected an integer")
         value = raw_value
     else:
-        value = _parse(raw_value, f"{where}.tail.value")
-    prefix = [_parse(w, f"{where}.prefix_sq[{i}]") for i, w in enumerate(obj.get("prefix_sq", []))]
+        value = parse_rational_field(raw_value, f"{where}.tail.value", ShiftError)
+    prefix = [
+        parse_rational_field(w, f"{where}.prefix_sq[{i}]", ShiftError)
+        for i, w in enumerate(obj.get("prefix_sq", []))
+    ]
     return make_weights(prefix, WeightTail(kind, value))
-
-
-def _parse(value: object, where: str) -> Fraction:
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return parse_rational(value)
-        except ValueError as exc:
-            raise ShiftError(f"{where}: {exc}") from exc
-    raise ShiftError(f"{where}: expected a rational string, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .exactnum import format_rational, parse_rational, psd2_radical_cross
+from .exactnum import format_rational, parse_rational_field, psd2_radical_cross
 from .measures import Measure1D
 from .shift1d import WeightSeq, weights_from_json
 
@@ -82,18 +82,20 @@ class ShiftGrid2D:
 def _beta_from_seeds(
     grid_alpha: Callable[[int, int], Fraction], seeds: Callable[[int], Fraction]
 ) -> Callable[[int, int], Fraction]:
-    """Beta generator: column seeds propagated rightward by commutativity."""
-    cache: dict[Index, Fraction] = {}
+    """Beta generator: column seeds propagated rightward by commutativity.
+
+    Each level keeps the betas computed so far, k1 = 0, 1, ..., and a read
+    past its end extends it left to right, so no index recurses."""
+    levels: dict[int, list[Fraction]] = {}
 
     def beta(k1: int, k2: int) -> Fraction:
-        if (k1, k2) not in cache:
-            if k1 == 0:
-                cache[(k1, k2)] = seeds(k2)
-            else:
-                cache[(k1, k2)] = (
-                    beta(k1 - 1, k2) * grid_alpha(k1 - 1, k2 + 1) / grid_alpha(k1 - 1, k2)
-                )
-        return cache[(k1, k2)]
+        row = levels.get(k2)
+        if row is None:
+            row = levels[k2] = [seeds(k2)]
+        while len(row) <= k1:
+            i = len(row) - 1
+            row.append(row[i] * grid_alpha(i, k2 + 1) / grid_alpha(i, k2))
+        return row[k1]
 
     return beta
 
@@ -328,12 +330,6 @@ def build_figure9(y_sq: Fraction) -> ShiftGrid2D:
     from .shift1d import alpha_family
 
     row0 = alpha_family()
-    gammas: list[Fraction] = [Fraction(1)]
-
-    def gamma(m: int) -> Fraction:
-        while len(gammas) <= m:
-            gammas.append(gammas[-1] * row0.weight_sq(len(gammas) - 1))
-        return gammas[m]
 
     def alpha(k1: int, k2: int) -> Fraction:
         if k2 == 0:
@@ -346,7 +342,7 @@ def build_figure9(y_sq: Fraction) -> ShiftGrid2D:
         if k2 == 0:
             if k1 == 0:
                 return y_sq
-            return y_sq / (2 * gamma(k1))
+            return y_sq / (2 * row0.gamma(k1)[k1])
         return Fraction(k2 + 1, k2 + 2)
 
     spec = {"model": "figure9", "y_sq": format_rational(y_sq)}
@@ -391,12 +387,6 @@ def build_totallyflat(x_row: WeightSeq, y_sq: Fraction) -> ShiftGrid2D:
         raise GridError(f"need y_sq > 0, got {y_sq}")
     if x_row.sup_weight_sq() > 1:
         raise GridError("x row must be bounded by 1")
-    gammas: list[Fraction] = [Fraction(1)]
-
-    def gamma(m: int) -> Fraction:
-        while len(gammas) <= m:
-            gammas.append(gammas[-1] * x_row.weight_sq(len(gammas) - 1))
-        return gammas[m]
 
     def alpha(k1: int, k2: int) -> Fraction:
         if k2 == 0:
@@ -405,7 +395,7 @@ def build_totallyflat(x_row: WeightSeq, y_sq: Fraction) -> ShiftGrid2D:
 
     def beta(k1: int, k2: int) -> Fraction:
         if k2 == 0:
-            return y_sq / gamma(k1)
+            return y_sq / x_row.gamma(k1)[k1]
         return Fraction(1)
 
     spec = {"model": "totally_flat", "x_row": x_row.to_json_obj(), "y_sq": format_rational(y_sq)}
@@ -744,45 +734,41 @@ def grid_from_json(obj: object, where: str = "grid") -> ShiftGrid2D:
     if model == "explicit":
         try:
             alpha_rows = [
-                [_parse(v, f"{where}.alpha_sq[{i}][{j}]") for j, v in enumerate(row)]
+                [
+                    parse_rational_field(v, f"{where}.alpha_sq[{i}][{j}]", GridError)
+                    for j, v in enumerate(row)
+                ]
                 for i, row in enumerate(obj.get("alpha_sq", []))
             ]
             beta_rows = [
-                [_parse(v, f"{where}.beta_sq[{i}][{j}]") for j, v in enumerate(row)]
+                [
+                    parse_rational_field(v, f"{where}.beta_sq[{i}][{j}]", GridError)
+                    for j, v in enumerate(row)
+                ]
                 for i, row in enumerate(obj.get("beta_sq", []))
             ]
         except TypeError as exc:
             raise GridError(f"{where}: malformed explicit window") from exc
         return build_explicit(alpha_rows, beta_rows)
     if model == "figure9":
-        return build_figure9(_parse(obj.get("y_sq"), f"{where}.y_sq"))
+        return build_figure9(parse_rational_field(obj.get("y_sq"), f"{where}.y_sq", GridError))
     if model == "figure5":
         k2 = obj.get("k2")
-        if not isinstance(k2, int):
+        if not isinstance(k2, int) or isinstance(k2, bool):
             raise GridError(f"{where}.k2: expected an integer")
         beta0 = obj.get("beta0_sq")
         grid, _ = build_figure5(
             k2,
-            _parse(obj.get("alpha0_sq"), f"{where}.alpha0_sq"),
-            None if beta0 is None else _parse(beta0, f"{where}.beta0_sq"),
+            parse_rational_field(obj.get("alpha0_sq"), f"{where}.alpha0_sq", GridError),
+            None if beta0 is None else parse_rational_field(beta0, f"{where}.beta0_sq", GridError),
         )
         return grid
     if model == "totally_flat":
         x_row = weights_from_json(obj.get("x_row"), f"{where}.x_row")
-        return build_totallyflat(x_row, _parse(obj.get("y_sq"), f"{where}.y_sq"))
+        y_sq = parse_rational_field(obj.get("y_sq"), f"{where}.y_sq", GridError)
+        return build_totallyflat(x_row, y_sq)
     if model == "sfc":
         from .sfc import params_from_json, sfc_grid
 
         return sfc_grid(params_from_json(obj, where))
     raise GridError(f"{where}.model: unknown model {model!r}")
-
-
-def _parse(value: object, where: str) -> Fraction:
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return parse_rational(value)
-        except ValueError as exc:
-            raise GridError(f"{where}: {exc}") from exc
-    raise GridError(f"{where}: expected a rational string, got {value!r}")

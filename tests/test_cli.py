@@ -316,6 +316,42 @@ def test_unknown_model(capsys, specs):
     assert code == 2 and "unknown model" in err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"prefix_sq": [True], "tail": {"kind": "constant", "value": "1"}},
+        {"prefix_sq": [], "tail": {"kind": "bergman_like", "value": True}},
+    ],
+    ids=["prefix", "bergman_like"],
+)
+def test_json_booleans_are_bad_input(tmp_path, capsys, spec):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, out, err = run(capsys, ["check-khypo", str(path), "--k", "2", "--window", "5"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_internal_error_exits_three_without_traceback(capsys, specs, monkeypatch):
+    import shiftlab.cli as cli
+
+    def broken(args):
+        raise RuntimeError("broken subcommand")
+
+    monkeypatch.setattr(cli, "_cmd_moments", broken)
+    code, out, err = run(capsys, ["moments", specs["bergman"]])
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError: broken subcommand\n"
+
+
+def test_deep_figure5_is_an_internal_error_not_a_witness(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"model": "figure5", "k2": 40, "alpha0_sq": "1/4"}), encoding="utf-8")
+    code, out, err = run(capsys, ["joint", str(path), "--window", "5", "5"])
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: ") and "Traceback" not in err
+
+
 def test_out_file_matches_stdout(tmp_path, capsys, specs):
     argv = ["joint", specs["fig9"], "--window", "8", "4", "--json"]
     _, stdout_text, _ = run(capsys, argv)

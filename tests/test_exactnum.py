@@ -2,6 +2,7 @@
 
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from shiftlab.exactnum import (
     format_rational,
     matrix_det,
     parse_rational,
+    parse_rational_field,
     poly_eval,
     poly_mul,
     poly_nonneg_on_interval,
@@ -41,6 +43,20 @@ def test_parse_rational_accepts_sums_and_signs():
 def test_parse_rational_rejects_garbage(bad):
     with pytest.raises(ExactInputError):
         parse_rational(bad)
+
+
+class _FieldError(ValueError):
+    pass
+
+
+def test_parse_rational_field_refuses_booleans_and_raises_the_callers_error():
+    assert parse_rational_field(3, "x", _FieldError) == 3
+    assert parse_rational_field("1/6+1/100", "x", _FieldError) == Fraction(53, 300)
+    for value in (True, False, None, 0.5, ["1"]):
+        with pytest.raises(_FieldError, match="^doc.x: expected a rational string"):
+            parse_rational_field(value, "doc.x", _FieldError)
+    with pytest.raises(_FieldError, match="^doc.x: malformed rational"):
+        parse_rational_field("1/0", "doc.x", _FieldError)
 
 
 def test_format_round_trips():
@@ -217,3 +233,54 @@ def test_psd_check_against_numpy_eigenvalues():
         if abs(min(eigs)) < 1e-9:
             continue  # too close to the boundary for the float oracle to vote
         assert psd_check(sym) == (min(eigs) > 0), sym
+
+
+def _psd_by_principal_minors(rows) -> bool:
+    """Reference criterion: every nonempty principal minor is >= 0."""
+    n = len(rows)
+    return all(
+        matrix_det([[rows[i][j] for j in idx] for i in idx]) >= 0
+        for size in range(1, n + 1)
+        for idx in combinations(range(n), size)
+    )
+
+
+_entries = st.one_of(st.just(Fraction(0)), st.fractions(-2, 2, max_denominator=3))
+
+
+@st.composite
+def _near_psd_symmetric(draw):
+    """Low-rank Gram matrices of order 1-7, some with a diagonal entry
+    lowered or an off-diagonal pair bumped, so singular PSD matrices and
+    matrices just off the PSD cone both occur."""
+    n = draw(st.integers(1, 7))
+    vectors = draw(st.lists(st.lists(_entries, min_size=n, max_size=n), max_size=n))
+    rows = [
+        [sum((v[i] * v[j] for v in vectors), Fraction(0)) for j in range(n)] for i in range(n)
+    ]
+    change = draw(st.sampled_from(["none", "lower_diagonal", "bump_pair"]))
+    if change == "lower_diagonal":
+        i = draw(st.integers(0, n - 1))
+        rows[i][i] -= draw(st.fractions(Fraction(1, 100), 1, max_denominator=100))
+    elif change == "bump_pair" and n >= 2:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        bump = draw(st.fractions(-1, 1, max_denominator=10).filter(bool))
+        rows[i][j] += bump
+        rows[j][i] += bump
+    return rows
+
+
+@given(_near_psd_symmetric())
+@settings(max_examples=300, deadline=None)
+def test_psd_check_agrees_with_principal_minors(rows):
+    assert psd_check(rows) == _psd_by_principal_minors(rows)
+
+
+def test_psd_check_zero_pivot_rule():
+    zero, one = Fraction(0), Fraction(1)
+    # a zero pivot with a zero row drops out; with a nonzero entry it fails
+    assert psd_check([[zero, zero], [zero, one]])
+    assert not psd_check([[zero, one], [one, one]])
+    # the zero pivot appears only after elimination
+    assert psd_check([[one, one, one], [one, one, one], [one, one, 2 * one]])
+    assert not psd_check([[one, one, zero], [one, one, one], [zero, one, one]])

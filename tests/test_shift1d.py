@@ -66,6 +66,28 @@ def test_finite_sequence_runs_out():
         w.weight_sq(2)
 
 
+def test_gamma_memo_returns_fresh_prefixes():
+    w = bergman_like(2)
+    full = w.gamma(8)
+    assert w.gamma(3) == full[:4]
+    got = w.gamma(5)
+    got[2] = F(99)
+    got.append(F(0))
+    assert w.gamma(8) == full
+    finite = make_weights((F(1, 2), F(3, 4)))
+    with pytest.raises(ShiftError):
+        finite.gamma(3)
+    assert finite.gamma(2) == [F(1), F(1, 2), F(3, 8)]
+
+
+def test_gamma_memo_leaves_equality_and_hash_alone():
+    filled, empty = bergman_like(2), bergman_like(2)
+    filled.gamma(20)
+    assert filled == empty
+    assert hash(filled) == hash(empty)
+    assert repr(filled) == repr(empty)
+
+
 def test_sup_weight_sq():
     assert bergman_like(1).sup_weight_sq() == 1
     assert bergman_like(3).sup_weight_sq() == 3
@@ -124,6 +146,24 @@ def test_subnormal_families_pass_every_order():
     for w in (bergman_like(1), bergman_like(2), alpha_family(), beta_r_family(F(16, 25))):
         for order in range(1, 5):
             assert is_k_hyponormal(w, order, 12)
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        flat_shift(F(1, 3)),
+        alpha_family(),
+        unilateral(),
+        make_weights((F(1, 5),), WeightTail("constant", F(2, 5))),
+    ],
+    ids=["flat", "alpha_family", "unilateral", "constant_tail"],
+)
+def test_singular_hankels_of_atomic_shifts_are_psd(w):
+    # finitely atomic Berger measures: every Hankel of order >= 3 is singular
+    for order in range(4, 7):
+        for base in range(4):
+            assert hankel_det(w, order, base) == 0
+            assert hankel_psd(w, order, base)
 
 
 def test_closed_form_matches_expanded_determinant():

@@ -277,6 +277,17 @@ def test_figure5_oversized_seed_fails_report_not_window():
     assert joint_hyponormal_window(g, 30, 10).verdict
 
 
+def test_seeded_beta_fills_deep_levels_without_recursion():
+    g, _ = build_figure5(2, F(1, 4), F(7, 3240))
+    deep = gamma2(g, (1500, 1))
+    assert deep > 0
+    assert deep == gamma2_up_first(g, (1500, 1))
+    fresh, _ = build_figure5(2, F(1, 4), F(7, 3240))
+    for k2 in range(4):
+        for k1 in range(8):
+            assert gamma2(fresh, (k1, k2)) == gamma2_up_first(fresh, (k1, k2))
+
+
 def test_figure5_validation():
     with pytest.raises(GridError):
         build_figure5(0, F(1, 4))
@@ -350,3 +361,7 @@ def test_grid_json_errors():
     assert "doc.grid.y_sq" in str(err.value)
     with pytest.raises(GridError):
         grid_from_json({"model": "figure5", "k2": "2", "alpha0_sq": "1/4"})
+    with pytest.raises(GridError, match="k2"):
+        grid_from_json({"model": "figure5", "k2": True, "alpha0_sq": "1/4"})
+    with pytest.raises(GridError, match="y_sq"):
+        grid_from_json({"model": "figure9", "y_sq": True})
