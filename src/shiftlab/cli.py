@@ -27,13 +27,16 @@ from fractions import Fraction
 from .exactnum import ExactInputError, decimal_string, format_rational
 from .measures import MeasureError
 from .sfc import SFCError, classify, params_from_json, scan_region
-from .shift1d import ShiftError, hankel_psd, weights_from_json
+# hankel_psd is not called here: it stays importable as cli.hankel_psd
+# because certbench/spans.py wraps it at this module.
+from .shift1d import ShiftError, hankel_psd, hyponormal_witness, khypo_witness, weights_from_json
 from .shift2d import (
     GridError,
     ShiftGrid2D,
     grid_from_json,
     joint_hyponormal_window,
     six_point_data,
+    six_point_scan,
 )
 
 class CliInputError(ValueError):
@@ -127,12 +130,7 @@ def _cmd_moments(args) -> int:
 
 def _cmd_check_hypo(args) -> int:
     window = _window_1d(args)
-    w = weights_from_json(_load_json(args.spec), args.spec)
-    witness = None
-    for k in range(window):
-        if w.weight_sq(k + 1) < w.weight_sq(k):
-            witness = k
-            break
+    witness = hyponormal_witness(weights_from_json(_load_json(args.spec), args.spec), window)
     doc = {
         "command": "check-hypo",
         "window": window,
@@ -155,12 +153,7 @@ def _cmd_check_khypo(args) -> int:
     order = args.k
     if not 1 <= order <= 6:
         raise CliInputError(f"--k must be in 1..6, got {order}")
-    w = weights_from_json(_load_json(args.spec), args.spec)
-    witness = None
-    for base in range(window + 1):
-        if not hankel_psd(w, order, base):
-            witness = base
-            break
+    witness = khypo_witness(weights_from_json(_load_json(args.spec), args.spec), order, window)
     doc = {
         "command": "check-khypo",
         "order": order,
@@ -186,24 +179,18 @@ def _grid_from_path(path: str) -> ShiftGrid2D:
 def _cmd_sixpoint(args) -> int:
     digits = _digits()
     m, n = _window_2d(args)
-    grid = _grid_from_path(args.spec)
-    entries = []
-    failures = []
-    for k2 in range(n + 1):
-        for k1 in range(m + 1):
-            data = six_point_data(grid, (k1, k2))
-            entries.append(
-                {
-                    "k": [k1, k2],
-                    "a1": _rat_dec(data.a1, digits),
-                    "a2": _rat_dec(data.a2, digits),
-                    "p": _rat_dec(data.p, digits),
-                    "q": _rat_dec(data.q, digits),
-                    "ok": data.ok,
-                }
-            )
-            if not data.ok:
-                failures.append((k1, k2))
+    entries = [
+        {
+            "k": list(k),
+            "a1": _rat_dec(data.a1, digits),
+            "a2": _rat_dec(data.a2, digits),
+            "p": _rat_dec(data.p, digits),
+            "q": _rat_dec(data.q, digits),
+            "ok": data.ok,
+        }
+        for k, data in six_point_scan(_grid_from_path(args.spec), m, n)
+    ]
+    failures = [tuple(entry["k"]) for entry in entries if not entry["ok"]]
     verdict = not failures
     doc = {
         "command": "sixpoint",

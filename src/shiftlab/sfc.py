@@ -22,8 +22,10 @@ from .measures import (
     INFINITE,
     Measure1D,
     Measure2D,
+    MeasureError,
     NegativePartError,
     NormValue,
+    _divide_by_t,
     backward_ext_2var,
     combine1d,
     delta,
@@ -300,53 +302,34 @@ def moment_domination_check(xi: Measure1D) -> bool:
 def params_from_json(obj: object, where: str = "params") -> SFCParams:
     if not isinstance(obj, dict):
         raise SFCError(f"{where}: expected an object")
-    data = dict(obj)
-    data.pop("model", None)
-    if "eta1" in data and "eta" not in data:
+    eta1 = None
+    if "eta1" in obj and "eta" not in obj:
         # grid specs store the restricted column measure directly
-        eta1 = measure1d_from_json(data["eta1"], f"{where}.eta1")
-        data["eta"] = None
-    else:
-        eta1 = None
-    missing = [k for k in ("xi", "a_sq", "y0_sq") if k not in data]
-    if missing or (eta1 is None and "eta" not in data):
-        missing = missing + (["eta"] if eta1 is None and "eta" not in data else [])
+        eta1 = measure1d_from_json(obj["eta1"], f"{where}.eta1")
+    missing = [k for k in ("xi", "a_sq", "y0_sq") if k not in obj]
+    if eta1 is None and "eta" not in obj:
+        missing.append("eta")
+    if missing:
         raise SFCError(f"{where}: missing field(s) {', '.join(missing)}")
-    xi = measure1d_from_json(data["xi"], f"{where}.xi")
-    a_sq = parse_rational_field(data["a_sq"], f"{where}.a_sq", SFCError)
-    y0_sq = parse_rational_field(data["y0_sq"], f"{where}.y0_sq", SFCError)
+    xi = measure1d_from_json(obj["xi"], f"{where}.xi")
+    a_sq = parse_rational_field(obj["a_sq"], f"{where}.a_sq", SFCError)
+    y0_sq = parse_rational_field(obj["y0_sq"], f"{where}.y0_sq", SFCError)
     if eta1 is not None:
-        # reconstruct a column measure whose restriction is eta1: scale the
-        # shifted-down measure so it integrates to one, then undo nothing;
-        # simplest faithful choice is eta with the same shape as eta1 times t,
-        # renormalized, which restricts back to eta1 exactly.
-        eta = _unrestrict(eta1)
-        return make_params(xi, eta, a_sq, y0_sq)
-    eta = measure1d_from_json(data["eta"], f"{where}.eta")
-    return make_params(xi, eta, a_sq, y0_sq)
+        return make_params(xi, _unrestrict(eta1, f"{where}.eta1"), a_sq, y0_sq)
+    return make_params(xi, measure1d_from_json(obj["eta"], f"{where}.eta"), a_sq, y0_sq)
 
 
-def _unrestrict(eta1: Measure1D) -> Measure1D:
+def _unrestrict(eta1: Measure1D, where: str) -> Measure1D:
     """A probability measure on [0, 1] whose level-1 restriction is eta1.
 
-    Dividing the density by t and the atom masses by their positions gives a
-    measure of total mass equal to the inverse-moment norm of eta1 (always
-    at least 1 on [0, 1]); normalizing it recovers a valid column measure.
+    (1/t) d eta1 has total mass equal to the inverse-moment norm of eta1
+    (always at least 1 on [0, 1]); normalizing it recovers a valid column
+    measure.
     """
-    atoms = []
-    for point, mass in eta1.atoms:
-        if point == 0:
-            raise SFCError("restricted column measure cannot charge 0")
-        atoms.append((point, mass / point))
-    segments = []
-    for seg in eta1.segments:
-        coeffs = list(seg.coeffs)
-        if coeffs[0] != 0:
-            raise SFCError(
-                "restricted column density must carry a factor of t to invert polynomially"
-            )
-        segments.append((coeffs[1:], seg.lo, seg.hi))
-    raw = make1d(atoms, segments)
+    try:
+        raw = _divide_by_t(eta1)
+    except MeasureError as exc:
+        raise SFCError(f"{where}: {exc}") from exc
     mass = raw.total_mass()
     if mass == 0:
         raise SFCError("restricted column measure is empty")

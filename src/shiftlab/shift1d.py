@@ -174,11 +174,16 @@ def weights_from_json(obj: object, where: str = "weights") -> WeightSeq:
 # positivity tests
 
 
-def is_hyponormal(w: WeightSeq, window: int) -> bool:
-    """Squared weights nondecreasing on [0, window]."""
+def hyponormal_witness(w: WeightSeq, window: int) -> int | None:
+    """First k < window with weight_sq(k + 1) < weight_sq(k), or None when
+    the squared weights are nondecreasing on [0, window]."""
     if window < 1:
         raise ShiftError(f"window must be >= 1, got {window}")
-    return all(w.weight_sq(k) <= w.weight_sq(k + 1) for k in range(window))
+    return next((k for k in range(window) if w.weight_sq(k + 1) < w.weight_sq(k)), None)
+
+
+def is_hyponormal(w: WeightSeq, window: int) -> bool:
+    return hyponormal_witness(w, window) is None
 
 
 def hankel_matrix(w: WeightSeq, order: int, base: int) -> Matrix:
@@ -199,8 +204,16 @@ def hankel_psd(w: WeightSeq, order: int, base: int) -> bool:
     return psd_check(hankel_matrix(w, order, base))
 
 
+def khypo_witness(w: WeightSeq, order: int, window: int) -> int | None:
+    """First base in [0, window] whose Hankel matrix of this order is not
+    PSD, or None when the shift is order-hyponormal on the window."""
+    if order < 1 or window < 0:
+        raise ShiftError(f"need order >= 1 and window >= 0, got {order}, {window}")
+    return next((b for b in range(window + 1) if not hankel_psd(w, order, b)), None)
+
+
 def is_k_hyponormal(w: WeightSeq, order: int, window: int) -> bool:
-    return all(hankel_psd(w, order, base) for base in range(window + 1))
+    return khypo_witness(w, order, window) is None
 
 
 def bergman_like_hankel2_det(ell: int, k: int, gamma_k: Fraction) -> Fraction:
@@ -271,9 +284,9 @@ def propagation_audit(w: WeightSeq, max_order: int, window: int) -> AuditResult:
     if is_flat(w, window):
         return AuditResult("FLAT")
     for order in range(2, max_order + 1):
-        for base in range(window + 1):
-            if not hankel_psd(w, order, base):
-                return AuditResult("WITNESS", order=order, base=base)
+        base = khypo_witness(w, order, window)
+        if base is not None:
+            return AuditResult("WITNESS", order=order, base=base)
     return AuditResult("INCONCLUSIVE", max_order=max_order)
 
 

@@ -10,7 +10,7 @@ so commutativity holds by construction and `check_commuting` re-verifies it
 on demand.  Positivity tests route every 2 x 2 cross term through the exact
 radical-elimination comparison; verdicts never touch floating point.
 
-Window scans read the grid level by level (k2 ascending, then k1), and the
+Every window scan reads the grid in the order of `window_indices`, and the
 first failing index wins as witness.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .exactnum import format_rational, parse_rational_field, psd2_radical_cross
 from .measures import Measure1D
@@ -104,14 +104,21 @@ def _beta_from_seeds(
 # pointwise tests and window scans
 
 
+def window_indices(m: int, n: int) -> Iterator[Index]:
+    """The indices of [0,m] x [0,n] in scan order: level by level (k2
+    ascending), then k1 ascending within a level."""
+    if m < 0 or n < 0:
+        raise GridError(f"bad window ({m}, {n})")
+    return ((k1, k2) for k2 in range(n + 1) for k1 in range(m + 1))
+
+
 def check_commuting(g: ShiftGrid2D, m: int, n: int) -> Index | None:
     """First index in [0,m] x [0,n] violating the commuting identity, if any."""
-    for k2 in range(n + 1):
-        for k1 in range(m + 1):
-            lhs = g.beta_sq(k1 + 1, k2) * g.alpha_sq(k1, k2)
-            rhs = g.alpha_sq(k1, k2 + 1) * g.beta_sq(k1, k2)
-            if lhs != rhs:
-                return (k1, k2)
+    for k1, k2 in window_indices(m, n):
+        lhs = g.beta_sq(k1 + 1, k2) * g.alpha_sq(k1, k2)
+        rhs = g.alpha_sq(k1, k2 + 1) * g.beta_sq(k1, k2)
+        if lhs != rhs:
+            return (k1, k2)
     return None
 
 
@@ -132,6 +139,8 @@ def gamma2_up_first(g: ShiftGrid2D, k: Index) -> Fraction:
     """Moment along the transposed path (up column 0, then right); equals
     gamma2 on every commuting grid."""
     k1, k2 = k
+    if k1 < 0 or k2 < 0:
+        raise GridError(f"negative index {k}")
     out = Fraction(1)
     for j in range(k2):
         out *= g.beta_sq(0, j)
@@ -163,6 +172,11 @@ def six_point(g: ShiftGrid2D, k: Index) -> bool:
     PSD of [[a1, sqrt(p)-sqrt(q)], [sqrt(p)-sqrt(q), a2]] with a1, a2 the
     forward alpha and beta increments."""
     return six_point_data(g, k).ok
+
+
+def six_point_scan(g: ShiftGrid2D, m: int, n: int) -> Iterator[tuple[Index, SixPointData]]:
+    """Six-point data at each index of [0,m] x [0,n], lazily, in scan order."""
+    return ((k, six_point_data(g, k)) for k in window_indices(m, n))
 
 
 @dataclass(frozen=True)
@@ -205,13 +219,10 @@ class WindowReport:
 
 def joint_hyponormal_window(g: ShiftGrid2D, m: int, n: int) -> WindowReport:
     """Six-point test at every index of [0,m] x [0,n]; first failure wins."""
-    if m < 0 or n < 0:
-        raise GridError(f"bad window ({m}, {n})")
-    for k2 in range(n + 1):
-        for k1 in range(m + 1):
-            if not six_point(g, (k1, k2)):
-                return WindowReport(False, witness=((k1, k2), "six_point"), window=(m, n))
-    return WindowReport(True, window=(m, n))
+    witness = next((k for k, data in six_point_scan(g, m, n) if not data.ok), None)
+    if witness is None:
+        return WindowReport(True, window=(m, n))
+    return WindowReport(False, witness=(witness, "six_point"), window=(m, n))
 
 
 @dataclass(frozen=True)
@@ -270,17 +281,13 @@ class PropagationReport:
 
 def propagation_consequences(g: ShiftGrid2D, m: int, n: int) -> PropagationReport:
     entries = []
-    for k2 in range(n + 1):
-        for k1 in range(m + 1):
-            if g.alpha_sq(k1 + 1, k2) == g.alpha_sq(k1, k2):
-                entries.append(
-                    PropagationEntry(
-                        (k1, k2),
-                        g.beta_sq(k1, k2),
-                        g.beta_sq(k1 + 1, k2),
-                        six_point(g, (k1, k2)),
-                    )
+    for k1, k2 in window_indices(m, n):
+        if g.alpha_sq(k1 + 1, k2) == g.alpha_sq(k1, k2):
+            entries.append(
+                PropagationEntry(
+                    (k1, k2), g.beta_sq(k1, k2), g.beta_sq(k1 + 1, k2), six_point(g, (k1, k2))
                 )
+            )
     return PropagationReport(tuple(entries))
 
 
@@ -448,12 +455,17 @@ def _pair_seed_bound(ell_low: int, ell_up: int, upper_seed: Fraction) -> Fractio
 
 
 def _largest_pow2_at_most(bound: Fraction) -> Fraction:
+    """The largest 2**-j (j >= 0) at most bound, from bit lengths alone."""
     if bound <= 0:
         raise GridError(f"no positive power of two below {bound}")
-    value = Fraction(1)
-    while value > bound:
-        value /= 2
-    return value
+    if bound >= 1:
+        return Fraction(1)
+    num, den = bound.numerator, bound.denominator
+    # num << j has den's bit length, so it reaches den at j or else at j + 1
+    j = den.bit_length() - num.bit_length()
+    if num << j < den:
+        j += 1
+    return Fraction(1, 1 << j)
 
 
 def _display_bound_top_pair(ell_low: int, ell_up: int) -> Fraction:
@@ -662,11 +674,7 @@ def _figure5_report(k2: int, alpha0_sq: Fraction, seeds: list[Fraction], chain: 
             )
         )
     verdict = all(c.holds for c, _ in conditions)
-    witness = None
-    for cond, index in conditions:
-        if not cond.holds:
-            witness = (index, cond.name)
-            break
+    witness = next(((index, c.name) for c, index in conditions if not c.holds), None)
     return WindowReport(verdict, witness=witness, conditions=tuple(c for c, _ in conditions))
 
 

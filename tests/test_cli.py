@@ -1,14 +1,22 @@
 """End-to-end command-line behavior, run in process through main()."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab.cli import main
-from shiftlab.exactnum import decimal_string
+from shiftlab.exactnum import decimal_string, format_rational
 from shiftlab.measures import combine1d, delta, lebesgue, make1d
 from shiftlab.sfc import example_family
+from shiftlab.shift1d import hyponormal_witness, khypo_witness, weights_from_json
 
 F = Fraction
 
@@ -140,6 +148,74 @@ def test_check_khypo_witness(capsys, specs):
     assert code == 1
     doc = json.loads(out)
     assert doc["verdict"] is False and doc["witness"] == 0 and doc["order"] == 2
+
+
+def _det(rows):
+    if not rows:
+        return F(1)
+    return sum(
+        (-1) ** j * rows[0][j] * _det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+def _brute_first_failure(weights_sq, order, last_base):
+    """First base <= last_base whose order-`order` moment Hankel matrix has a
+    negative principal minor, by Laplace expansion of every minor."""
+    gammas = [F(1)]
+    for w in weights_sq:
+        gammas.append(gammas[-1] * w)
+    size = order + 1
+    for base in range(last_base + 1):
+        rows = [[gammas[base + i + j] for j in range(size)] for i in range(size)]
+        for r in range(1, size + 1):
+            for idx in combinations(range(size), r):
+                if _det([[rows[i][j] for j in idx] for i in idx]) < 0:
+                    return base
+    return None
+
+
+def _cli_witness(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--json"])
+    witness = json.loads(out.getvalue())["witness"]
+    assert code == (0 if witness is None else 1)
+    return witness
+
+
+squared_weights = st.fractions(min_value=F(1, 8), max_value=F(4), max_denominator=12)
+
+
+@given(
+    prefix=st.lists(squared_weights, max_size=6),
+    tail=squared_weights,
+    ascending=st.booleans(),
+    order=st.integers(1, 3),
+    window=st.integers(1, 6),
+)
+@settings(max_examples=60, deadline=None)
+def test_cli_and_library_witnesses_match_brute_force(prefix, tail, ascending, order, window):
+    if ascending:
+        prefix = sorted(prefix)
+        tail = max([tail, *prefix])
+    spec = {
+        "prefix_sq": [format_rational(v) for v in prefix],
+        "tail": {"kind": "constant", "value": format_rational(tail)},
+    }
+    w = weights_from_json(spec)
+    weights_sq = prefix + [tail] * (window + 2 * order)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "weights.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(spec, handle)
+        hypo = _cli_witness(["check-hypo", path, "--window", str(window)])
+        khypo = _cli_witness(
+            ["check-khypo", path, "--k", str(order), "--window", str(window)]
+        )
+    # hyponormality at k is PSD of the order-1 Hankel matrix based at k
+    assert hypo == hyponormal_witness(w, window) == _brute_first_failure(weights_sq, 1, window - 1)
+    assert khypo == khypo_witness(w, order, window) == _brute_first_failure(weights_sq, order, window)
 
 
 def test_check_khypo_order_bounds(capsys, specs):
@@ -375,3 +451,20 @@ def test_library_and_cli_agree_on_sfc(capsys, specs):
     assert doc["y0_sq"]["rat"] == "12/25"
     assert F(doc["h_sq"]["rat"]) == F(8, 9)
     assert expected.y0_sq == F(12, 25)
+
+
+def test_restricted_column_measure_charging_zero_is_bad_input(tmp_path, capsys):
+    xi = make1d([(F(0), F(1, 3)), (F(1, 2), F(1, 3)), (F(1), F(1, 3))])
+    spec = {
+        "model": "sfc",
+        "xi": xi.to_json_obj(),
+        "eta1": {"atoms": [["0", "1/2"], ["1", "1/2"]]},
+        "a_sq": "1/2",
+        "y0_sq": "1/3",
+    }
+    path = tmp_path / "eta1.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    for argv in (["joint", str(path), "--window", "3", "3"], ["classify-sfc", str(path)]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "eta1" in err

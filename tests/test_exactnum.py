@@ -1,5 +1,6 @@
 """Rational parsing, exact linear algebra, and the polynomial sign engine."""
 
+import doctest
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from itertools import combinations
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shiftlab.exactnum
 from shiftlab.exactnum import (
     ExactInputError,
     decimal_string,
@@ -284,3 +286,8 @@ def test_psd_check_zero_pivot_rule():
     # the zero pivot appears only after elimination
     assert psd_check([[one, one, one], [one, one, one], [one, one, 2 * one]])
     assert not psd_check([[one, one, zero], [one, one, one], [zero, one, one]])
+
+
+def test_exactnum_doctests_pass():
+    results = doctest.testmod(shiftlab.exactnum)
+    assert results.attempted >= 17 and results.failed == 0

@@ -26,7 +26,7 @@ from shiftlab.sfc import (
     sfc_mu_m,
     window_margin,
 )
-from shiftlab.shift2d import joint_hyponormal_window
+from shiftlab.shift2d import check_commuting, grid_from_json, joint_hyponormal_window, window_indices
 
 F = Fraction
 
@@ -297,6 +297,18 @@ def test_params_from_json_with_restricted_measure():
     q = params_from_json(doc)
     assert q.eta1 == p.eta1
     assert classify(q) == classify(p)
+
+
+def test_sfc_grid_spec_with_restricted_measure_round_trips():
+    for a_sq, r_sq in ((F(1, 2), F(16, 25)), (F(1, 3), F(1)), (F(5, 12), F(1, 4))):
+        grid = sfc_grid(example_family(a_sq, r_sq))
+        again = grid_from_json(grid.to_json_obj())
+        assert again == grid
+        assert again.to_json_obj() == grid.to_json_obj()
+        assert check_commuting(again, 4, 4) is None
+        for k in window_indices(4, 4):
+            assert again.alpha_sq(*k) == grid.alpha_sq(*k)
+            assert again.beta_sq(*k) == grid.beta_sq(*k)
 
 
 def test_params_from_json_errors():

@@ -20,9 +20,11 @@ from shiftlab.shift1d import (
     hankel_det,
     hankel_matrix,
     hankel_psd,
+    hyponormal_witness,
     is_flat,
     is_hyponormal,
     is_k_hyponormal,
+    khypo_witness,
     make_weights,
     propagation_audit,
     unilateral,
@@ -140,6 +142,36 @@ def test_witness_hankel_matrix_and_det():
     assert hankel_det(w, 2, 0) == F(-9, 4096)
     assert not hankel_psd(w, 2, 0)
     assert not is_k_hyponormal(w, 2, 5)
+
+
+def test_witness_scans_name_the_first_failure():
+    decreasing = make_weights((F(1), F(1, 2)), WeightTail("constant", F(1, 2)))
+    assert hyponormal_witness(decreasing, 5) == 0
+    late = make_weights((F(1, 2), F(2, 3), F(1, 3)), WeightTail("constant", F(1)))
+    assert hyponormal_witness(late, 1) is None
+    assert hyponormal_witness(late, 5) == 1
+    assert hyponormal_witness(bergman_like(1), 30) is None
+    assert khypo_witness(witness_shift(), 2, 5) == 0
+    assert khypo_witness(witness_shift(), 1, 5) is None
+    assert khypo_witness(bergman_like(2), 3, 8) is None
+
+
+@pytest.mark.parametrize(
+    "scan, args",
+    [
+        (hyponormal_witness, (0,)),
+        (hyponormal_witness, (-3,)),
+        (khypo_witness, (0, 4)),
+        (khypo_witness, (2, -1)),
+        (khypo_witness, (0, -5)),
+        (is_k_hyponormal, (2, -1)),
+        (is_k_hyponormal, (0, -5)),
+    ],
+)
+def test_witness_scans_reject_bad_order_and_window(scan, args):
+    # a negative window once made is_k_hyponormal scan nothing and pass
+    with pytest.raises(ShiftError):
+        scan(witness_shift(), *args)
 
 
 def test_subnormal_families_pass_every_order():

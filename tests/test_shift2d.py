@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab.measures import combine1d, delta, lebesgue, make1d
 from shiftlab.shift1d import WeightTail, alpha_family, make_weights
 from shiftlab.shift2d import (
     GridError,
+    _largest_pow2_at_most,
     bergman_chain,
     build_explicit,
     build_figure5,
@@ -27,6 +30,8 @@ from shiftlab.shift2d import (
     next_chain_param,
     propagation_consequences,
     six_point_data,
+    six_point_scan,
+    window_indices,
 )
 
 F = Fraction
@@ -138,6 +143,43 @@ def test_commuting_violation_is_located():
         [[F(1, 3), F(1, 2)], [F(2, 3), F(2, 3)]],
     )
     assert check_commuting(g, 0, 0) == (0, 0)
+
+
+def test_window_indices_scan_level_by_level():
+    assert list(window_indices(2, 1)) == [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
+    assert list(window_indices(0, 0)) == [(0, 0)]
+
+
+@pytest.mark.parametrize("window", [(-1, 2), (2, -1)])
+def test_every_window_scan_rejects_negative_windows(window):
+    g = build_figure9(F(1, 3))
+    scans = [
+        window_indices,
+        lambda m, n: check_commuting(g, m, n),
+        lambda m, n: joint_hyponormal_window(g, m, n),
+        lambda m, n: six_point_scan(g, m, n),
+        lambda m, n: propagation_consequences(g, m, n),
+    ]
+    for scan in scans:
+        with pytest.raises(GridError):
+            scan(*window)
+
+
+def test_six_point_scan_matches_pointwise_data():
+    g = build_figure9(F(1, 2))
+    table = list(six_point_scan(g, 4, 3))
+    assert [k for k, _ in table] == list(window_indices(4, 3))
+    assert all(data == six_point_data(g, k) for k, data in table)
+    first_failure = next(k for k, data in table if not data.ok)
+    assert joint_hyponormal_window(g, 4, 3).witness == (first_failure, "six_point")
+
+
+def test_both_moment_paths_reject_negative_indices():
+    g = build_figure9(F(1, 3))
+    for path in (gamma2, gamma2_up_first):
+        for k in ((-1, -2), (-1, 0), (0, -1)):
+            with pytest.raises(GridError):
+                path(g, k)
 
 
 def test_path_independence_needs_commutativity():
@@ -286,6 +328,34 @@ def test_seeded_beta_fills_deep_levels_without_recursion():
     for k2 in range(4):
         for k1 in range(8):
             assert gamma2(fresh, (k1, k2)) == gamma2_up_first(fresh, (k1, k2))
+
+
+def _largest_pow2_by_halving(bound):
+    """The halving loop the bit-length version replaced, kept as reference."""
+    value = F(1)
+    while value > bound:
+        value /= 2
+    return value
+
+
+@given(
+    st.integers(1, 2**90),
+    st.integers(1, 2**90),
+    st.integers(0, 60),
+)
+@settings(max_examples=300)
+def test_largest_pow2_matches_halving_reference(num, den, shift):
+    for bound in (F(num, den), F(num, den << shift), F(num << shift, den)):
+        assert _largest_pow2_at_most(bound) == _largest_pow2_by_halving(bound)
+    exact = F(1, 2**shift)
+    assert _largest_pow2_at_most(exact) == exact
+    assert _largest_pow2_at_most(exact * F(2**40 - 1, 2**40)) == exact / 2
+
+
+def test_largest_pow2_rejects_nonpositive_bounds():
+    for bound in (F(0), F(-1, 3)):
+        with pytest.raises(GridError):
+            _largest_pow2_at_most(bound)
 
 
 def test_figure5_validation():
