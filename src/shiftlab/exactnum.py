@@ -11,7 +11,9 @@ exact questions answered here:
 The first is settled by one exact symmetric (LDL^T) elimination with a
 zero-pivot rule, the second by eliminating the radical (compare
 ``L = A1*A2 - P - Q`` against ``-2*sqrt(P*Q)`` via squaring), and the third
-by Sturm root counting with endpoint and sample sign checks.
+by a ladder of certificates: endpoint signs, a closed form up to degree 2,
+nonnegative Bernstein coefficients, and last Sturm root counting with
+sample sign checks, the one complete method for every degree.
 No floating point is used anywhere in this module.
 
 Polynomials are plain lists of Fractions in ascending degree order,
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
+from math import comb
 
 Rat = Fraction
 
@@ -351,12 +354,23 @@ def sturm_count_halfopen(chain: list[Poly], lo: Fraction, hi: Fraction) -> int:
 def poly_nonneg_on_interval(p: Poly, lo: Fraction, hi: Fraction) -> bool:
     """Decide p(t) >= 0 for every t in [lo, hi], exactly.
 
-    Endpoint signs are checked directly.  Interior sign changes can only
-    happen at roots, so the square-free part's roots are counted by Sturm
-    sequences and the interval is bisected until every piece holds at most
-    one root; a piece with no interior root has constant interior sign
-    (read off at its midpoint), and a piece with exactly one root needs one
-    sample point strictly on each side of the root.
+    A ladder of exact certificates, cheapest first:
+
+    1. Endpoint signs are checked directly; a negative one decides False.
+    2. Degree 1: a line nonnegative at both endpoints is nonnegative between.
+    3. Degree 2, ``c0 + c1*t + c2*t**2``, in closed form: with ``c2 < 0`` or
+       the vertex ``-c1/(2*c2)`` not strictly inside (lo, hi) the minimum is
+       at an endpoint; otherwise it is ``c0 - c1**2/(4*c2)``, so the verdict
+       is ``c1**2 <= 4*c0*c2``.
+    4. Degree 3 and up: nonnegative Bernstein coefficients on [lo, hi]
+       certify True (the polynomial is then a nonnegative combination of
+       nonnegative basis polynomials).  A negative one decides nothing.
+    5. Otherwise Sturm: interior sign changes can only happen at roots, so
+       the square-free part's roots are counted by Sturm sequences and the
+       interval is bisected until every piece holds at most one root; a
+       piece with no interior root has constant interior sign (read off at
+       its midpoint), and a piece with exactly one root needs one sample
+       point strictly on each side of the root.
 
     >>> one = Fraction(1)
     >>> poly_nonneg_on_interval([one * 0, one], Fraction(0), Fraction(1))
@@ -364,6 +378,24 @@ def poly_nonneg_on_interval(p: Poly, lo: Fraction, hi: Fraction) -> bool:
     >>> poly_nonneg_on_interval([-one/2, one], Fraction(0), Fraction(1))
     False
     >>> poly_nonneg_on_interval([one/4, -one, one], Fraction(0), Fraction(1))
+    True
+
+    The quadratic rung: (t - 1/2)**2 - 1/16 has its vertex inside [0, 1]
+    and a negative minimum there; on [3/4, 1] its vertex lies outside.
+
+    >>> dip = [one/4 - one/16, -one, one]
+    >>> poly_nonneg_on_interval(dip, Fraction(0), Fraction(1))
+    False
+    >>> poly_nonneg_on_interval(dip, Fraction(3, 4), Fraction(1))
+    True
+
+    A cubic that is nonnegative but has a negative Bernstein coefficient
+    falls through to Sturm: t*(t - 1/2)**2 on [0, 1].
+
+    >>> cubic = [0 * one, one/4, -one, one]
+    >>> _bernstein_coefficients(cubic, Fraction(0), Fraction(1))
+    [Fraction(0, 1), Fraction(1, 12), Fraction(-1, 6), Fraction(1, 4)]
+    >>> poly_nonneg_on_interval(cubic, Fraction(0), Fraction(1))
     True
     """
     if lo >= hi:
@@ -375,6 +407,16 @@ def poly_nonneg_on_interval(p: Poly, lo: Fraction, hi: Fraction) -> bool:
         return p[0] >= 0
     if poly_eval(p, lo) < 0 or poly_eval(p, hi) < 0:
         return False
+    if len(p) == 2:
+        return True
+    if len(p) == 3:
+        c0, c1, c2 = p
+        # lo < -c1/(2*c2) < hi, multiplied through by 2*c2 > 0
+        if c2 < 0 or not 2 * c2 * lo < -c1 < 2 * c2 * hi:
+            return True
+        return c1 * c1 <= 4 * c0 * c2
+    if all(b >= 0 for b in _bernstein_coefficients(p, lo, hi)):
+        return True
     sqfree = poly_squarefree_part(p)
     chain = sturm_chain(sqfree)
 
@@ -403,6 +445,30 @@ def poly_nonneg_on_interval(p: Poly, lo: Fraction, hi: Fraction) -> bool:
         stack.append((a, mid))
         stack.append((mid, b))
     return True
+
+
+def _bernstein_coefficients(p: Poly, lo: Fraction, hi: Fraction) -> Poly:
+    """Coefficients of p in the degree-n Bernstein basis of [lo, hi].
+
+    Taylor shift to lo, scale by hi - lo so that q(s) = p(lo + (hi - lo)*s)
+    on [0, 1], then b_i = sum_{k<=i} C(i, k)/C(n, k) * q_k (Farouki and
+    Rajan, "Algorithms for polynomials in Bernstein form", CAGD 1988).
+    """
+    n = len(p) - 1
+    q = list(p)
+    if lo:
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                q[j] += lo * q[j + 1]
+    width = hi - lo
+    scale = Fraction(1)
+    for k in range(1, n + 1):
+        scale *= width
+        q[k] *= scale
+    return [
+        sum((Fraction(comb(i, k), comb(n, k)) * q[k] for k in range(i + 1)), Fraction(0))
+        for i in range(n + 1)
+    ]
 
 
 def _one_root_nonneg(p, sqfree, count_open, a, b) -> bool:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from shiftlab.cli import main
 from shiftlab.exactnum import decimal_string, format_rational
-from shiftlab.measures import combine1d, delta, lebesgue, make1d
+from shiftlab.measures import _segment_integral, combine1d, delta, lebesgue, make1d
 from shiftlab.sfc import example_family
 from shiftlab.shift1d import hyponormal_witness, khypo_witness, weights_from_json
 
@@ -426,6 +426,79 @@ def test_deep_figure5_is_an_internal_error_not_a_witness(tmp_path, capsys):
     code, out, err = run(capsys, ["joint", str(path), "--window", "5", "5"])
     assert code == 3 and out == ""
     assert err.startswith("internal error: ") and "Traceback" not in err
+
+
+_unit_points = st.fractions(min_value=0, max_value=1, max_denominator=8)
+_coeffs = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+@st.composite
+def _density_on(draw, lo, hi):
+    """Coefficients of a density of degree <= 3 on [lo, hi]: arbitrary ones,
+    often signed, or ones nonnegative by construction, some with a double
+    root inside the piece."""
+    kind = draw(st.sampled_from(["any", "square", "positive"]))
+    if kind == "any":
+        return draw(st.lists(_coeffs, min_size=1, max_size=4))
+    if kind == "square":
+        # c * (t - r)**2 * (1 + s*t) with r in [lo, hi] and s >= -1
+        r = lo + (hi - lo) * draw(_unit_points)
+        c = draw(st.fractions(min_value=0, max_value=2, max_denominator=4))
+        s = draw(st.fractions(min_value=-1, max_value=2, max_denominator=4))
+        return [c * r * r, c * (-2 * r + r * r * s), c * (1 - 2 * r * s), c * s]
+    # a + b*t + c*t**2 with a, b, c >= 0 is nonnegative on [0, 1]
+    return draw(st.lists(st.fractions(min_value=0, max_value=2, max_denominator=4), min_size=1, max_size=3))
+
+
+@st.composite
+def _measure_on_unit_interval(draw):
+    """A measure on [0, 1] with atoms and polynomial pieces, scaled to mass 1
+    when its mass is positive (signed pieces may leave it otherwise)."""
+    atoms = draw(
+        st.lists(
+            st.tuples(_unit_points, st.fractions(min_value=F(1, 4), max_value=2, max_denominator=4)),
+            max_size=3,
+            unique_by=lambda atom: atom[0],
+        )
+    )
+    edges = sorted(set(draw(st.lists(_unit_points, min_size=2, max_size=4))))
+    segments = [(draw(_density_on(lo, hi)), lo, hi) for lo, hi in zip(edges, edges[1:])]
+    mass = sum((m for _, m in atoms), F(0)) + sum((_segment_integral(*seg) for seg in segments), F(0))
+    scale = 1 / mass if mass > 0 else F(1)
+    return {
+        "atoms": [[format_rational(x), format_rational(m * scale)] for x, m in atoms],
+        "segments": [
+            {"coeffs": [format_rational(c * scale) for c in coeffs], "lo": format_rational(lo), "hi": format_rational(hi)}
+            for coeffs, lo, hi in segments
+        ],
+    }
+
+
+@given(
+    xi=_measure_on_unit_interval(),
+    eta=_measure_on_unit_interval(),
+    a_sq=st.fractions(min_value=F(1, 8), max_value=1, max_denominator=8),
+    y0_sq=st.fractions(min_value=F(1, 8), max_value=1, max_denominator=8),
+)
+@settings(max_examples=60, deadline=None)
+def test_sfc_specs_never_crash_the_cli(xi, eta, a_sq, y0_sq):
+    spec = {"model": "sfc", "xi": xi, "eta": eta, "a_sq": format_rational(a_sq), "y0_sq": format_rational(y0_sq)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sfc.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(spec, handle)
+        for argv in (
+            ["classify-sfc", path],
+            ["joint", path, "--window", "3", "3"],
+            ["sixpoint", path, "--window", "3", "3"],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, spec, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                assert err.getvalue().startswith("error: ") and out.getvalue() == ""
 
 
 def test_out_file_matches_stdout(tmp_path, capsys, specs):

@@ -4,6 +4,7 @@ import doctest
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 import shiftlab.exactnum
 from shiftlab.exactnum import (
     ExactInputError,
+    _bernstein_coefficients,
+    _one_root_nonneg,
     decimal_string,
     format_rational,
     matrix_det,
@@ -20,6 +23,8 @@ from shiftlab.exactnum import (
     poly_eval,
     poly_mul,
     poly_nonneg_on_interval,
+    poly_squarefree_part,
+    poly_trim,
     psd2_radical_cross,
     psd_check,
     sturm_chain,
@@ -213,11 +218,138 @@ def test_poly_squares_are_nonnegative(coeffs, lo, width):
     assert poly_nonneg_on_interval(poly_mul(coeffs, coeffs), lo, lo + width)
 
 
-@given(st.lists(st.fractions(min_value=-2, max_value=2), min_size=3, max_size=3))
-def test_psd_check_matches_eigenvalue_oracle_on_diagonal_plus_rank_one(v):
-    # v v^T is PSD; v v^T - small*I is not once any |v_i| is small enough
+def _nonneg_by_sturm(p, lo, hi) -> bool:
+    """Reference: the Sturm-only decision, endpoint signs then Sturm
+    bisection on every degree, with none of the cheaper certificates."""
+    p = poly_trim(p)
+    if not p:
+        return True
+    if len(p) == 1:
+        return p[0] >= 0
+    if poly_eval(p, lo) < 0 or poly_eval(p, hi) < 0:
+        return False
+    sqfree = poly_squarefree_part(p)
+    chain = sturm_chain(sqfree)
+
+    def count_open(a, b):
+        n = sturm_count_halfopen(chain, a, b)
+        if poly_eval(sqfree, b) == 0:
+            n -= 1
+        return n
+
+    stack = [(lo, hi)]
+    while stack:
+        a, b = stack.pop()
+        inside = count_open(a, b)
+        mid = (a + b) / 2
+        if inside == 0:
+            if poly_eval(p, mid) < 0:
+                return False
+            continue
+        if inside == 1:
+            if not _one_root_nonneg(p, sqfree, count_open, a, b):
+                return False
+            continue
+        if poly_eval(p, mid) < 0:
+            return False
+        stack.append((a, mid))
+        stack.append((mid, b))
+    return True
+
+
+_small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def _factored_on_interval(draw):
+    """A product of rational linear and quadratic factors, total degree at
+    most 6, on a rational interval: roots drawn at the endpoints, inside
+    or anywhere, factors repeated, leading sign either way."""
+    lo = draw(_small_rationals)
+    hi = lo + draw(st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6))
+    inside = st.fractions(min_value=0, max_value=1, max_denominator=8).map(lambda u: lo + (hi - lo) * u)
+    root = st.one_of(st.sampled_from([lo, hi]), inside, _small_rationals)
+    p = [draw(_small_rationals.filter(bool))]
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            factor = [-draw(root), Fraction(1)]
+        else:
+            r, s = draw(root), draw(_small_rationals)
+            # (t - r)(t - s), or (t - r)**2 + s**2 with no real root unless s = 0
+            factor = draw(st.sampled_from([[r * s, -(r + s), Fraction(1)], [r * r + s * s, -2 * r, Fraction(1)]]))
+        for _ in range(draw(st.integers(1, 2))):
+            if len(p) + len(factor) - 1 <= 7:
+                p = poly_mul(p, factor)
+    return p, lo, hi
+
+
+@given(_factored_on_interval())
+@settings(max_examples=400, deadline=None)
+def test_poly_nonneg_agrees_with_sturm_reference(case):
+    p, lo, hi = case
+    assert poly_nonneg_on_interval(p, lo, hi) == _nonneg_by_sturm(p, lo, hi)
+
+
+def test_poly_nonneg_certificate_rungs():
+    f, zero, one = Fraction, Fraction(0), Fraction(1)
+    # degree 1: nonnegative endpoints settle it, and a negative one refutes it
+    assert poly_nonneg_on_interval([one, -one], zero, one)
+    assert not poly_nonneg_on_interval([one, -2 * one], zero, one)
+    # concave quadratic: the minimum is at an endpoint; t*(1 - t) on [0, 1]
+    assert poly_nonneg_on_interval([zero, one, -one], zero, one)
+    # vertex exactly at lo or at hi: (t - 1/2)**2 on [1/2, 1] and on [0, 1/2]
+    square = [f(1, 4), -one, one]
+    assert poly_nonneg_on_interval(square, f(1, 2), one)
+    assert poly_nonneg_on_interval(square, zero, f(1, 2))
+    # vertex outside with two real roots outside: (t - 1)(t - 2) on [0, 1]
+    assert poly_nonneg_on_interval([2 * one, -3 * one, one], zero, one)
+    # zero discriminant with the vertex inside touches 0 and stays there
+    assert poly_nonneg_on_interval(square, zero, one)
+    # vertex inside with a negative minimum between nonnegative endpoints
+    assert not poly_nonneg_on_interval([f(3, 16), -one, one], zero, one)
+    # a nonnegative cubic with a negative Bernstein coefficient reaches
+    # Sturm: t*(t - 1/2)**2 on [0, 1]
+    cubic = poly_mul([zero, one], square)
+    assert min(_bernstein_coefficients(cubic, zero, one)) < 0
+    assert poly_nonneg_on_interval(cubic, zero, one)
+    # a cubic that dips below 0 between nonnegative endpoints:
+    # t*((t - 1/2)**2 - 1/100) on [0, 1]
+    dip = poly_mul([zero, one], [f(1, 4) - f(1, 100), -one, one])
+    assert poly_eval(dip, zero) >= 0 and poly_eval(dip, one) >= 0
+    assert not poly_nonneg_on_interval(dip, zero, one)
+
+
+@given(
+    coeffs=st.lists(_small_rationals, min_size=4, max_size=7),
+    lo=_small_rationals,
+    width=st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6),
+    s=st.fractions(min_value=0, max_value=1, max_denominator=10),
+)
+@settings(max_examples=100)
+def test_bernstein_coefficients_reproduce_the_polynomial(coeffs, lo, width, s):
+    # sum_i b_i C(n, i) s**i (1 - s)**(n - i) = p(lo + width*s) on [0, 1]
+    b = _bernstein_coefficients(coeffs, lo, lo + width)
+    n = len(coeffs) - 1
+    value = sum(b[i] * comb(n, i) * s**i * (1 - s) ** (n - i) for i in range(n + 1))
+    assert value == poly_eval(coeffs, lo + width * s)
+    # 1 + t**3 on [-1/2, 1/2]: q(s) = 7/8 + 3/4 s - 3/2 s**2 + s**3
+    one = Fraction(1)
+    assert _bernstein_coefficients([one, 0 * one, 0 * one, one], -one / 2, one / 2) == [
+        Fraction(7, 8), Fraction(9, 8), Fraction(7, 8), Fraction(9, 8)
+    ]
+
+
+@given(
+    st.lists(st.fractions(min_value=-2, max_value=2), min_size=3, max_size=3),
+    st.fractions(min_value=0, max_value=2).filter(bool),
+)
+def test_psd_check_matches_eigenvalue_oracle_on_diagonal_plus_rank_one(v, eps):
+    # v v^T is PSD; v v^T - eps*I is not, since v v^T has rank <= 1 < 3 and
+    # so a zero eigenvalue that eps*I turns into -eps
     rows = [[v[i] * v[j] for j in range(3)] for i in range(3)]
     assert psd_check(rows)
+    shifted = [[rows[i][j] - (eps if i == j else 0) for j in range(3)] for i in range(3)]
+    assert not psd_check(shifted)
 
 
 def test_psd_check_against_numpy_eigenvalues():
@@ -290,4 +422,4 @@ def test_psd_check_zero_pivot_rule():
 
 def test_exactnum_doctests_pass():
     results = doctest.testmod(shiftlab.exactnum)
-    assert results.attempted >= 17 and results.failed == 0
+    assert results.attempted >= 23 and results.failed == 0
