@@ -19,6 +19,7 @@ one.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -308,7 +309,10 @@ def _parse_cli_rational(text: str, flag: str) -> Fraction:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every call; parse_args leaves it unchanged and
+    returns a fresh namespace each time."""
     parser = argparse.ArgumentParser(
         prog="shiftlab",
         description="Exact certificates for weighted-shift positivity and classification.",
@@ -324,52 +328,45 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", help="moment table of a 1-variable shift")
     add_common(p)
     p.add_argument("--window", type=int, nargs="+", help="highest order to print (default 10)")
-    p.set_defaults(fn=_cmd_moments)
 
     p = sub.add_parser("check-hypo", help="hyponormality of a 1-variable shift")
     add_common(p)
     p.add_argument("--window", type=int, nargs="+", help="window M")
-    p.set_defaults(fn=_cmd_check_hypo)
 
     p = sub.add_parser("check-khypo", help="k-hyponormality of a 1-variable shift")
     add_common(p)
     p.add_argument("--k", type=int, required=True, help="order, 1..6")
     p.add_argument("--window", type=int, nargs="+", help="window M")
-    p.set_defaults(fn=_cmd_check_khypo)
 
     p = sub.add_parser("sixpoint", help="per-index six-point data on a window")
     add_common(p)
     p.add_argument("--window", type=int, nargs="+", help="window M N")
-    p.set_defaults(fn=_cmd_sixpoint)
 
     p = sub.add_parser("joint", help="joint hyponormality of a 2-variable shift on a window")
     add_common(p)
     p.add_argument("--window", type=int, nargs="+", help="window M N")
-    p.set_defaults(fn=_cmd_joint)
 
     p = sub.add_parser("classify-sfc", help="three-way classification of a flat contractive pair")
     add_common(p)
-    p.set_defaults(fn=_cmd_classify_sfc)
 
     p = sub.add_parser("scan", help="threshold scan CSV over an a_sq window")
     p.add_argument("--lo", help="left endpoint (rational)")
     p.add_argument("--hi", help="right endpoint (rational)")
     p.add_argument("--steps", type=int, default=2, help="number of samples, endpoints included")
     p.add_argument("--out", help="write the CSV to this path instead of stdout")
-    p.set_defaults(fn=_cmd_scan)
 
     p = sub.add_parser("verify-paper", help="run the full verification suite")
     add_common(p, spec=False)
-    p.set_defaults(fn=_cmd_verify_paper)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up by name at each call: the cached parser holds no handler
+    command = globals()["_cmd_" + args.subcommand.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -470,23 +470,6 @@ def marginal_x(mu: Measure2D) -> Measure1D:
     return mu.marginal_x()
 
 
-def measure2d_from_json(obj: object, where: str = "measure2d") -> Measure2D:
-    if not isinstance(obj, dict) or "terms" not in obj:
-        raise MeasureError(f"{where}: expected an object with a terms list")
-    terms = []
-    for i, term in enumerate(obj["terms"]):
-        if not isinstance(term, dict) or not {"coeff", "s", "t"} <= set(term):
-            raise MeasureError(f"{where}.terms[{i}]: expected coeff/s/t")
-        terms.append(
-            (
-                parse_rational_field(term["coeff"], f"{where}.terms[{i}].coeff", MeasureError),
-                measure1d_from_json(term["s"], f"{where}.terms[{i}].s"),
-                measure1d_from_json(term["t"], f"{where}.terms[{i}].t"),
-            )
-        )
-    return make2d(terms)
-
-
 # ---------------------------------------------------------------------------
 # backward extensions
 

@@ -83,7 +83,10 @@ def make_params(xi: Measure1D, eta: Measure1D, a_sq: Fraction, y0_sq: Fraction) 
     x1_sq = xi.moment(2) / x0_sq
     if x1_sq > 1:
         raise SFCError(f"level-0 weights exceed 1: x1_sq = {x1_sq}")
-    eta1 = eta.restriction(1)
+    try:
+        eta1 = eta.restriction(1)
+    except MeasureError as exc:
+        raise SFCError(str(exc)) from exc
     return SFCParams(
         xi=xi,
         eta=eta,
@@ -195,13 +198,6 @@ def example_family(a_sq: Fraction, r_sq: Fraction, y0_sq: Fraction | None = None
     if y0_sq is None:
         y0_sq = Fraction(3, 4) * Fraction(r_sq)
     return make_params(xi, eta, a_sq, y0_sq)
-
-
-def window_margin(p: SFCParams) -> Fraction:
-    """The quantity x0_sq x1_sq + a_sq - a_sq x0_sq - x0_sq, positive exactly
-    when a_sq clears the lower window endpoint; its positivity is what keeps
-    s below h."""
-    return p.x0_sq * p.x1_sq + p.a_sq - p.a_sq * p.x0_sq - p.x0_sq
 
 
 # ---------------------------------------------------------------------------

@@ -307,18 +307,12 @@ def alpha_family_reciprocal_product(n: int) -> Fraction:
     """prod_(k=0..n) 1/w_k for the three-atom family: 2 * prod (2^k+1)/(2^k+1/2)."""
     if n < 1:
         raise ShiftError(f"need n >= 1, got {n}")
-    w = alpha_family()
-    out = Fraction(1)
-    for k in range(n + 1):
-        out /= w.weight_sq(k)
-    return out
+    return 1 / alpha_family().gamma(n + 1)[n + 1]
 
 
 def beta_family_reciprocal_product(n: int) -> Fraction:
     """prod_(k=1..n) 1/w_k for the two-parameter family: prod (k+2)^2/((k+1)(k+3))."""
     if n < 1:
         raise ShiftError(f"need n >= 1, got {n}")
-    out = Fraction(1)
-    for k in range(1, n + 1):
-        out *= Fraction((k + 2) ** 2, (k + 1) * (k + 3))
-    return out
+    gammas = beta_r_family(Fraction(1)).gamma(n + 1)
+    return gammas[1] / gammas[n + 1]

@@ -1,14 +1,16 @@
 """Two-variable weighted shifts as generator-backed squared-weight grids.
 
 A grid answers ``alpha_sq(k1, k2)`` and ``beta_sq(k1, k2)`` at any index.
-Every built-in family stores closed-form row rules plus a column of beta
-seeds and derives all remaining beta values from the commuting identity
+Every built-in family is a stack of 1-variable shifts: level k2 is a weight
+sequence that gives ``alpha_sq(k1, k2)``, and a column of beta seeds starts
+each level's betas, which follow from the commuting identity
 
     beta_sq(k1+1, k2) * alpha_sq(k1, k2) == alpha_sq(k1, k2+1) * beta_sq(k1, k2),
 
 so commutativity holds by construction and `check_commuting` re-verifies it
-on demand.  Positivity tests route every 2 x 2 cross term through the exact
-radical-elimination comparison; verdicts never touch floating point.
+on demand.  A level that repeats the one above keeps its seed all along, the
+grid form of flatness.  Positivity tests route every 2 x 2 cross term through
+the exact radical-elimination comparison; verdicts never touch floating point.
 
 Every window scan reads the grid in the order of `window_indices`, and the
 first failing index wins as witness.
@@ -16,13 +18,14 @@ first failing index wins as witness.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
 
 from .exactnum import format_rational, parse_rational_field, psd2_radical_cross
 from .measures import Measure1D
-from .shift1d import WeightSeq, weights_from_json
+from .shift1d import WeightSeq, alpha_family, bergman_like, flat_shift, unilateral, weights_from_json
 
 Index = tuple[int, int]
 
@@ -79,25 +82,51 @@ class ShiftGrid2D:
         return f"ShiftGrid2D(model={self.model!r})"
 
 
-def _beta_from_seeds(
-    grid_alpha: Callable[[int, int], Fraction], seeds: Callable[[int], Fraction]
-) -> Callable[[int, int], Fraction]:
-    """Beta generator: column seeds propagated rightward by commutativity.
+class _MomentShift:
+    """The 1-variable shift of a probability measure: weight_sq(k) =
+    m_(k+1) / m_k, with m_0 = 1.
 
-    Each level keeps the betas computed so far, k1 = 0, 1, ..., and a read
-    past its end extends it left to right, so no index recurses."""
-    levels: dict[int, list[Fraction]] = {}
+    Moments and weights are memoized: a grid reads each weight once for its
+    alphas and once more for its betas."""
+
+    def __init__(self, mu: Measure1D):
+        moment = self.moment = functools.cache(lambda k: mu.moment(k) if k else Fraction(1))
+        self.weight_sq = functools.cache(lambda k: moment(k + 1) / moment(k))
+
+
+def _stacked_grid(
+    model: str,
+    level: Callable[[int], WeightSeq | _MomentShift],
+    seed: Callable[[int], Fraction],
+    spec: dict,
+) -> ShiftGrid2D:
+    """Grid whose level k2 is the 1-variable shift level(k2), with
+    beta_sq(0, k2) = seed(k2).
+
+    Each level's betas follow the commuting identity left to right, kept in
+    a list so that no index recurses; equal alphas carry the beta across
+    unchanged, and a level that is the same object as the level above keeps
+    its seed all along without reading a weight."""
+    level = functools.cache(level)
+    rows: dict[int, list[Fraction]] = {}
+
+    def alpha(k1: int, k2: int) -> Fraction:
+        return level(k2).weight_sq(k1)
 
     def beta(k1: int, k2: int) -> Fraction:
-        row = levels.get(k2)
+        here, up = level(k2), level(k2 + 1)
+        if up is here:
+            return seed(k2)
+        row = rows.get(k2)
         if row is None:
-            row = levels[k2] = [seeds(k2)]
+            row = rows[k2] = [seed(k2)]
         while len(row) <= k1:
             i = len(row) - 1
-            row.append(row[i] * grid_alpha(i, k2 + 1) / grid_alpha(i, k2))
+            a_up, a_here = up.weight_sq(i), here.weight_sq(i)
+            row.append(row[i] if a_up == a_here else row[i] * a_up / a_here)
         return row[k1]
 
-    return beta
+    return ShiftGrid2D(model, alpha, beta, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -328,32 +357,19 @@ def build_explicit(alpha_rows: list[list[Fraction]], beta_rows: list[list[Fracti
 
 
 def build_figure9(y_sq: Fraction) -> ShiftGrid2D:
-    """Level 0 carries the three-atom-family weights, column 0 the weights
-    (n+1)/(n+2) above the seed y_sq, interior weights are 1; the level-0
-    beta values follow from the commuting identity."""
+    """Level 0 is the three-atom family, every level above it the flat shift
+    1/2, 1, 1, ...; the column seeds are y_sq, then (k2+1)/(k2+2)."""
     y_sq = Fraction(y_sq)
     if not 0 < y_sq <= 1:
         raise GridError(f"need 0 < y_sq <= 1, got {y_sq}")
-    from .shift1d import alpha_family
-
-    row0 = alpha_family()
-
-    def alpha(k1: int, k2: int) -> Fraction:
-        if k2 == 0:
-            return row0.weight_sq(k1)
-        if k1 == 0:
-            return Fraction(1, 2)
-        return Fraction(1)
-
-    def beta(k1: int, k2: int) -> Fraction:
-        if k2 == 0:
-            if k1 == 0:
-                return y_sq
-            return y_sq / (2 * row0.gamma(k1)[k1])
-        return Fraction(k2 + 1, k2 + 2)
-
+    row0, top = alpha_family(), flat_shift(Fraction(1, 2))
     spec = {"model": "figure9", "y_sq": format_rational(y_sq)}
-    return ShiftGrid2D("figure9", alpha, beta, spec)
+    return _stacked_grid(
+        "figure9",
+        lambda k2: row0 if k2 == 0 else top,
+        lambda k2: y_sq if k2 == 0 else Fraction(k2 + 1, k2 + 2),
+        spec,
+    )
 
 
 def figure9_standard_measures() -> tuple:
@@ -387,26 +403,21 @@ def figure9_subnormality(y_sq: Fraction):
 
 
 def build_totallyflat(x_row: WeightSeq, y_sq: Fraction) -> ShiftGrid2D:
-    """Level 0 carries x_row, every other weight is 1; level-0 beta values
-    are y_sq over the cumulative x products, by commutativity."""
+    """Level 0 is x_row, every level above it the unilateral shift; the
+    column seeds are y_sq, then 1."""
     y_sq = Fraction(y_sq)
     if y_sq <= 0:
         raise GridError(f"need y_sq > 0, got {y_sq}")
     if x_row.sup_weight_sq() > 1:
         raise GridError("x row must be bounded by 1")
-
-    def alpha(k1: int, k2: int) -> Fraction:
-        if k2 == 0:
-            return x_row.weight_sq(k1)
-        return Fraction(1)
-
-    def beta(k1: int, k2: int) -> Fraction:
-        if k2 == 0:
-            return y_sq / x_row.gamma(k1)[k1]
-        return Fraction(1)
-
+    top = unilateral()
     spec = {"model": "totally_flat", "x_row": x_row.to_json_obj(), "y_sq": format_rational(y_sq)}
-    return ShiftGrid2D("totally_flat", alpha, beta, spec)
+    return _stacked_grid(
+        "totally_flat",
+        lambda k2: x_row if k2 == 0 else top,
+        lambda k2: y_sq if k2 == 0 else Fraction(1),
+        spec,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +486,9 @@ def _display_bound_top_pair(ell_low: int, ell_up: int) -> Fraction:
     For the (18, 3) pair this is 7/3240.  It differs from the faithful
     six-point bound (which also involves the upper seed); both are checked.
     """
-    x0 = Fraction(ell_low) - Fraction(1, 2)
-    x1 = Fraction(ell_low) - Fraction(1, 3)
-    y0 = Fraction(ell_up) - Fraction(1, 2)
-    return (x1 - x0) ** 2 * x0 / (x0 - y0) ** 2
+    low = bergman_like(ell_low)
+    x0, y0 = low.weight_sq(0), bergman_like(ell_up).weight_sq(0)
+    return (low.weight_sq(1) - x0) ** 2 * x0 / (x0 - y0) ** 2
 
 
 def figure5_f(m: int, chain: tuple[int, int] = (18, 3)) -> Fraction:
@@ -488,14 +498,10 @@ def figure5_f(m: int, chain: tuple[int, int] = (18, 3)) -> Fraction:
     if m < 1:
         raise GridError(f"need m >= 1, got {m}")
     ell_low, ell_up = chain
-    p_sq = Fraction(1)
-    q_sq = Fraction(1)
-    for k in range(m):
-        p_sq *= Fraction(ell_low) - Fraction(1, k + 2)
-        q_sq *= Fraction(ell_up) - Fraction(1, k + 2)
-    x_m = Fraction(ell_low) - Fraction(1, m + 2)
-    diff = Fraction(ell_low - ell_up)
-    return p_sq * x_m / (q_sq**2 * (x_m + diff**2 * (m + 2) * (m + 3)))
+    low, up = bergman_like(ell_low), bergman_like(ell_up)
+    x_m = low.weight_sq(m)
+    diff = ell_low - ell_up
+    return low.gamma(m)[m] * x_m / (up.gamma(m)[m] ** 2 * (x_m + diff**2 * (m + 2) * (m + 3)))
 
 
 def figure5_g(m: int, ell_up: int = 3) -> Fraction:
@@ -503,11 +509,9 @@ def figure5_g(m: int, ell_up: int = 3) -> Fraction:
     six-points, m >= 1; decreasing in m, so g(1) = 27/5 rules the level."""
     if m < 1:
         raise GridError(f"need m >= 1, got {m}")
-    q_sq = Fraction(1)
-    for k in range(m):
-        q_sq *= Fraction(ell_up) - Fraction(1, k + 2)
-    y_m = Fraction(ell_up) - Fraction(1, m + 2)
-    return (1 + (m + 2) * (m + 3) * (1 - y_m) ** 2 / y_m) / q_sq
+    up = bergman_like(ell_up)
+    y_m = up.weight_sq(m)
+    return (1 + (m + 2) * (m + 3) * (1 - y_m) ** 2 / y_m) / up.gamma(m)[m]
 
 
 def _figure5_seeds(k2: int, alpha0_sq: Fraction, beta0_sq: Fraction | None) -> list[Fraction]:
@@ -519,8 +523,8 @@ def _figure5_seeds(k2: int, alpha0_sq: Fraction, beta0_sq: Fraction | None) -> l
     seeds[k2 - 1] = 1 / alpha0_sq
     chain = bergman_chain(k2)
     if k2 == 1:
-        x0 = Fraction(5, 2)
-        x1 = Fraction(8, 3)
+        top = bergman_like(chain[0])
+        x0, x1 = top.weight_sq(0), top.weight_sq(1)
         beta1_sq = seeds[k2 - 1]
         bound_a = beta1_sq * x0 / (x0 + 6 * (alpha0_sq - x0) ** 2)
         rhs1 = 1 + 12 * (1 - x1) ** 2 / x1
@@ -566,34 +570,24 @@ def build_figure5(
             raise GridError(f"need beta0_sq > 0, got {beta0_sq}")
     chain = bergman_chain(k2)
     seeds = _figure5_seeds(k2, alpha0_sq, beta0_sq)
-
-    def alpha(k1: int, k2_: int) -> Fraction:
-        if k2_ < k2:
-            ell = chain[k2 - 1 - k2_]
-            return Fraction(ell) - Fraction(1, k1 + 2)
-        return alpha0_sq if k1 == 0 else Fraction(1)
-
-    def seed(n: int) -> Fraction:
-        return seeds[n] if n <= k2 else seeds[k2]
-
-    beta = _beta_from_seeds(alpha, seed)
-
+    # bottom to top; index k2 is the flat top, repeated above
+    levels = [bergman_like(ell) for ell in reversed(chain)] + [flat_shift(alpha0_sq)]
     spec: dict = {
         "model": "figure5",
         "k2": k2,
         "alpha0_sq": format_rational(alpha0_sq),
         "beta0_sq": format_rational(seeds[0]),
     }
-    grid = ShiftGrid2D("figure5", alpha, beta, spec)
+    grid = _stacked_grid("figure5", lambda n: levels[min(n, k2)], lambda n: seeds[min(n, k2)], spec)
     report = _figure5_report(k2, alpha0_sq, seeds, chain)
     return grid, report
 
 
 def _figure5_report(k2: int, alpha0_sq: Fraction, seeds: list[Fraction], chain: list[int]) -> WindowReport:
     conditions: list[tuple[ConditionValue, Index]] = []
+    top_level = bergman_like(chain[0])
     if k2 == 1:
-        x0 = Fraction(5, 2)
-        x1 = Fraction(8, 3)
+        x0, x1 = top_level.weight_sq(0), top_level.weight_sq(1)
         beta1_sq = seeds[1]
         lhs = 6 * seeds[0] * (alpha0_sq - x0) ** 2
         rhs = (beta1_sq - seeds[0]) * x0
@@ -648,14 +642,14 @@ def _figure5_report(k2: int, alpha0_sq: Fraction, seeds: list[Fraction], chain: 
                     (0, n),
                 )
             )
-    top = Fraction(5, 2)
+    top = top_level.weight_sq(0)
     cond1_lhs = (alpha0_sq - top) ** 2
     conditions.append(
         (
             ConditionValue(
                 "condition1",
-                cond1_lhs <= Fraction(25, 4),
-                {"lhs": cond1_lhs, "rhs": Fraction(25, 4)},
+                cond1_lhs <= top**2,
+                {"lhs": cond1_lhs, "rhs": top**2},
             ),
             (0, k2 - 1),
         )
@@ -683,44 +677,15 @@ def _figure5_report(k2: int, alpha0_sq: Fraction, seeds: list[Fraction], chain: 
 
 
 def build_sfc_grid(xi: Measure1D, eta1: Measure1D, a_sq: Fraction, y0_sq: Fraction) -> ShiftGrid2D:
-    """Grid with level 0 the shift of xi, column 0 rising through a_sq and
-    the shift of eta1, interior weights 1, and the remaining boundary values
-    forced by commutativity."""
+    """Level 0 is the shift of xi, level k2 >= 1 the flat shift
+    a_sq / m_(k2-1), 1, 1, ... with m the moments of eta1; the column seeds
+    are y0_sq, then the shift of eta1.  Both measures are taken to be
+    probability measures, as `sfc.make_params` ensures."""
     a_sq = Fraction(a_sq)
     y0_sq = Fraction(y0_sq)
     if a_sq <= 0 or y0_sq <= 0:
         raise GridError("need positive a_sq and y0_sq")
-    gx: list[Fraction] = [Fraction(1)]
-    ge: list[Fraction] = [Fraction(1)]
-
-    def gamma_xi(m: int) -> Fraction:
-        while len(gx) <= m:
-            gx.append(xi.moment(len(gx)))
-        return gx[m]
-
-    def gamma_eta1(m: int) -> Fraction:
-        while len(ge) <= m:
-            ge.append(eta1.moment(len(ge)))
-        return ge[m]
-
-    def alpha(k1: int, k2: int) -> Fraction:
-        if k2 == 0:
-            return gamma_xi(k1 + 1) / gamma_xi(k1)
-        if k1 == 0:
-            if k2 == 1:
-                return a_sq
-            return a_sq / gamma_eta1(k2 - 1)
-        return Fraction(1)
-
-    def beta(k1: int, k2: int) -> Fraction:
-        if k1 == 0:
-            if k2 == 0:
-                return y0_sq
-            return gamma_eta1(k2) / gamma_eta1(k2 - 1)
-        if k2 == 0:
-            return a_sq * y0_sq / gamma_xi(k1)
-        return Fraction(1)
-
+    row0, column = _MomentShift(xi), _MomentShift(eta1)
     spec = {
         "model": "sfc",
         "xi": xi.to_json_obj(),
@@ -728,7 +693,12 @@ def build_sfc_grid(xi: Measure1D, eta1: Measure1D, a_sq: Fraction, y0_sq: Fracti
         "a_sq": format_rational(a_sq),
         "y0_sq": format_rational(y0_sq),
     }
-    return ShiftGrid2D("sfc", alpha, beta, spec)
+    return _stacked_grid(
+        "sfc",
+        lambda k2: row0 if k2 == 0 else flat_shift(a_sq / column.moment(k2 - 1)),
+        lambda k2: y0_sq if k2 == 0 else column.weight_sq(k2 - 1),
+        spec,
+    )
 
 
 # ---------------------------------------------------------------------------

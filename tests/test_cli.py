@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from itertools import combinations
@@ -12,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab.cli import main
+import shiftlab
+from shiftlab.cli import build_parser, main
 from shiftlab.exactnum import decimal_string, format_rational
 from shiftlab.measures import _segment_integral, combine1d, delta, lebesgue, make1d
 from shiftlab.sfc import example_family
@@ -508,6 +511,38 @@ def test_out_file_matches_stdout(tmp_path, capsys, specs):
     code, out, _ = run(capsys, argv + ["--out", str(target)])
     assert code == 0 and out == ""
     assert target.read_text(encoding="utf-8") == stdout_text
+
+
+def _fresh_process(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shiftlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "shiftlab.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_reused_parser_leaks_nothing_between_calls(tmp_path, capsys, specs):
+    """One process, one parser: each call gives what a fresh process gives,
+    whatever flags the calls before it set."""
+    target = tmp_path / "report.txt"
+    calls = [
+        ["joint", specs["fig9"], "--window", "4", "3", "--json", "--out", str(target)],
+        ["joint", specs["fig9"], "--window", "4", "3"],
+        ["check-khypo", specs["witness"], "--k", "2", "--window", "5", "--json"],
+        ["moments", specs["bergman"], "--window", "3"],
+        ["classify-sfc", specs["sfc_mid"], "--json"],
+        ["check-hypo", specs["decreasing"], "--window", "3"],
+    ]
+    for argv in calls:
+        reused = run(capsys, argv), target.read_text(encoding="utf-8") if target.exists() else None
+        target.unlink(missing_ok=True)
+        fresh = _fresh_process(argv)
+        assert reused == (
+            (fresh.returncode, fresh.stdout, fresh.stderr),
+            target.read_text(encoding="utf-8") if target.exists() else None,
+        ), argv
+        target.unlink(missing_ok=True)
+    assert build_parser() is build_parser()
 
 
 def test_argparse_rejects_missing_subcommand(capsys):

@@ -24,7 +24,6 @@ from shiftlab.sfc import (
     sfc_backward_extension,
     sfc_grid,
     sfc_mu_m,
-    window_margin,
 )
 from shiftlab.shift2d import check_commuting, grid_from_json, joint_hyponormal_window, window_indices
 
@@ -91,6 +90,11 @@ def test_make_params_validation():
         make_params(delta(F(2)), eta, F(1, 2), F(1, 2))
 
 
+def test_column_measure_concentrated_at_zero_is_an_sfc_error():
+    with pytest.raises(SFCError, match="^measure concentrated at 0: degenerate restriction$"):
+        make_params(three_atoms(), delta(F(0)), F(1, 2), F(1, 2))
+
+
 # ---------------------------------------------------------------------------
 # thresholds
 
@@ -139,13 +143,6 @@ def test_degenerate_column_norm():
         s_threshold_sq(p)
     with pytest.raises(SFCError):
         classify(p)
-
-
-def test_window_margin_closed_form():
-    for a_sq in (F(1, 5), F(1, 4), F(1, 3), F(1, 2)):
-        p = example_family(a_sq, F(1))
-        assert window_margin(p) == a_sq / 2 - F(1, 12)
-        assert window_margin(p) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,18 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab.measures import combine1d, delta, lebesgue, make1d
-from shiftlab.shift1d import WeightTail, alpha_family, make_weights
+from shiftlab.sfc import make_params, sfc_grid
+from shiftlab.shift1d import WeightSeq, WeightTail, alpha_family, make_weights
 from shiftlab.shift2d import (
     GridError,
+    _figure5_seeds,
     _largest_pow2_at_most,
     bergman_chain,
     build_explicit,
@@ -401,6 +404,143 @@ def test_sfc_grid_is_symmetrically_flat():
 def test_flatness_window_validation():
     with pytest.raises(GridError):
         flatness(build_figure9(F(1, 3)), 1, 5)
+
+
+# ---------------------------------------------------------------------------
+# stacked levels against the closed-form rules they replaced
+
+
+def _beta_from_seeds(grid_alpha, seeds):
+    """The beta generator the stacked construction replaced, kept as
+    reference: column seeds propagated rightward by commutativity."""
+    levels = {}
+
+    def beta(k1, k2):
+        row = levels.get(k2)
+        if row is None:
+            row = levels[k2] = [seeds(k2)]
+        while len(row) <= k1:
+            i = len(row) - 1
+            row.append(row[i] * grid_alpha(i, k2 + 1) / grid_alpha(i, k2))
+        return row[k1]
+
+    return beta
+
+
+def _figure9_rules(y_sq):
+    row0 = alpha_family()
+
+    def alpha(k1, k2):
+        if k2 == 0:
+            return row0.weight_sq(k1)
+        return F(1, 2) if k1 == 0 else F(1)
+
+    def beta(k1, k2):
+        if k2 == 0:
+            return y_sq if k1 == 0 else y_sq / (2 * row0.gamma(k1)[k1])
+        return F(k2 + 1, k2 + 2)
+
+    return alpha, beta
+
+
+def _totallyflat_rules(x_row, y_sq):
+    def alpha(k1, k2):
+        return x_row.weight_sq(k1) if k2 == 0 else F(1)
+
+    def beta(k1, k2):
+        return y_sq / x_row.gamma(k1)[k1] if k2 == 0 else F(1)
+
+    return alpha, beta
+
+
+def _figure5_rules(k2, alpha0_sq, beta0_sq):
+    chain = bergman_chain(k2)
+    seeds = _figure5_seeds(k2, alpha0_sq, beta0_sq)
+
+    def alpha(k1, k2_):
+        if k2_ < k2:
+            return F(chain[k2 - 1 - k2_]) - F(1, k1 + 2)
+        return alpha0_sq if k1 == 0 else F(1)
+
+    return alpha, _beta_from_seeds(alpha, lambda n: seeds[n] if n <= k2 else seeds[k2])
+
+
+def _sfc_rules(xi, eta1, a_sq, y0_sq):
+    def alpha(k1, k2):
+        if k2 == 0:
+            return xi.moment(k1 + 1) / xi.moment(k1)
+        if k1 == 0:
+            return a_sq if k2 == 1 else a_sq / eta1.moment(k2 - 1)
+        return F(1)
+
+    def beta(k1, k2):
+        if k1 == 0:
+            return y0_sq if k2 == 0 else eta1.moment(k2) / eta1.moment(k2 - 1)
+        return a_sq * y0_sq / xi.moment(k1) if k2 == 0 else F(1)
+
+    return alpha, beta
+
+
+_positive_unit = st.fractions(min_value=0, max_value=1, max_denominator=24).filter(lambda q: q > 0)
+
+
+@st.composite
+def _atomic_measure(draw):
+    """A probability measure on [0, 1]: atoms, one of them off 0, and at
+    times a uniform share."""
+    points = draw(st.lists(_positive_unit, min_size=1, max_size=3, unique=True))
+    if draw(st.booleans()):
+        points.append(F(0))
+    terms = [(draw(_positive_unit), delta(x)) for x in points]
+    if draw(st.booleans()):
+        terms.append((draw(_positive_unit), lebesgue()))
+    total = sum(m for m, _ in terms)
+    return combine1d([(m / total, mu) for m, mu in terms])
+
+
+@st.composite
+def _stacked_case(draw):
+    """(grid, reference alpha, reference beta, whether level 11 repeats level 12)."""
+    family = draw(st.sampled_from(["figure9", "totally_flat", "figure5", "sfc"]))
+    if family == "figure9":
+        y_sq = draw(_positive_unit)
+        return build_figure9(y_sq), *_figure9_rules(y_sq), True
+    if family == "totally_flat":
+        prefix = draw(st.lists(_positive_unit, max_size=3))
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(prefix)))
+            prefix[i:i] = [draw(_positive_unit)] * 2
+        if draw(st.booleans()):
+            tail = WeightTail("alpha_family")
+        else:
+            tail = WeightTail("constant", draw(_positive_unit))
+        x_row = make_weights(prefix, tail)
+        y_sq = draw(st.fractions(min_value=0, max_value=2, max_denominator=24).filter(lambda q: q > 0))
+        return build_totallyflat(x_row, y_sq), *_totallyflat_rules(x_row, y_sq), True
+    if family == "figure5":
+        k2 = draw(st.integers(1, 8))
+        alpha0_sq = draw(_positive_unit.filter(lambda q: q < 1))
+        beta0_sq = draw(st.none() | _positive_unit)
+        grid, _ = build_figure5(k2, alpha0_sq, beta0_sq)
+        return grid, *_figure5_rules(k2, alpha0_sq, beta0_sq), True
+    p = make_params(draw(_atomic_measure()), draw(_atomic_measure()), draw(_positive_unit), draw(_positive_unit))
+    return sfc_grid(p), *_sfc_rules(p.xi, p.eta1, p.a_sq, p.y0_sq), False
+
+
+@given(_stacked_case())
+@settings(max_examples=120, deadline=None)
+def test_stacked_grids_match_closed_form_rules(case):
+    grid, alpha, beta, flat_top = case
+    for k1, k2 in window_indices(20, 10):
+        assert grid.alpha_sq(k1, k2) == alpha(k1, k2), (k1, k2)
+        assert grid.beta_sq(k1, k2) == beta(k1, k2), (k1, k2)
+    assert check_commuting(grid, 20, 10) is None
+    if flat_top:
+        # a level equal to the one above answers from its seed: no weight read
+        expected = beta(1000, 11)
+        with mock.patch.object(WeightSeq, "weight_sq", autospec=True, side_effect=WeightSeq.weight_sq) as reads:
+            assert grid.beta_sq(1000, 11) == expected
+        assert reads.call_count == 0
 
 
 # ---------------------------------------------------------------------------
