@@ -25,9 +25,9 @@ import os
 import sys
 from fractions import Fraction
 
-from .exactnum import ExactInputError, decimal_string, format_rational
+from .exactnum import ExactInputError, decimal_string, format_rational, parse_rational
 from .measures import MeasureError
-from .sfc import SFCError, classify, params_from_json, scan_region
+from .sfc import SFCError, classify, params_from_json, scan_csv_text, scan_region
 # hankel_psd is not called here: it stays importable as cli.hankel_psd
 # because certbench/spans.py wraps it at this module.
 from .shift1d import ShiftError, hankel_psd, hyponormal_witness, khypo_witness, weights_from_json
@@ -246,24 +246,6 @@ def _cmd_classify_sfc(args) -> int:
     return 0
 
 
-def scan_csv_text(rows, digits: int) -> str:
-    lines = ["a_sq,h_sq,s_sq,h_dec,s_dec,gap_dec"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    format_rational(row.a_sq),
-                    format_rational(row.h_sq),
-                    format_rational(row.s_sq),
-                    decimal_string(row.h_sq, digits),
-                    decimal_string(row.s_sq, digits),
-                    decimal_string(row.gap_sq, digits),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_scan(args) -> int:
     digits = _digits()
     if args.lo is None or args.hi is None:
@@ -297,8 +279,6 @@ def _cmd_verify_paper(args) -> int:
 
 
 def _parse_cli_rational(text: str, flag: str) -> Fraction:
-    from .exactnum import parse_rational
-
     try:
         return parse_rational(text)
     except ValueError as exc:

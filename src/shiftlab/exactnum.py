@@ -12,8 +12,9 @@ The first is settled by one exact symmetric (LDL^T) elimination with a
 zero-pivot rule, the second by eliminating the radical (compare
 ``L = A1*A2 - P - Q`` against ``-2*sqrt(P*Q)`` via squaring), and the third
 by a ladder of certificates: endpoint signs, a closed form up to degree 2,
-nonnegative Bernstein coefficients, and last Sturm root counting with
-sample sign checks, the one complete method for every degree.
+nonnegative Bernstein coefficients, and last one Sturm count of the
+odd-multiplicity roots with one interior sign sample, the one complete
+method for every degree.
 No floating point is used anywhere in this module.
 
 Polynomials are plain lists of Fractions in ascending degree order,
@@ -25,8 +26,6 @@ from __future__ import annotations
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 from math import comb
-
-Rat = Fraction
 
 MAX_MATRIX_ORDER = 8
 
@@ -75,6 +74,14 @@ def parse_rational_field(value: object, where: str, error: type[ValueError]) -> 
         except ExactInputError as exc:
             raise error(f"{where}: {exc}") from exc
     raise error(f"{where}: expected a rational string, got {value!r}")
+
+
+def parse_list_field(value: object, where: str, error: type[ValueError]) -> list:
+    """Read a JSON array field as a list; anything else (a number, a string,
+    an object) raises the caller's ``error``, prefixed with ``where``."""
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    raise error(f"{where}: expected an array, got {value!r}")
 
 
 def format_rational(q: Fraction) -> str:
@@ -315,15 +322,38 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return poly_monic(a)
 
 
-def poly_squarefree_part(p: Poly) -> Poly:
-    """p divided by gcd(p, p'); same distinct roots, all simple."""
+def _odd_multiplicity_part(p: Poly) -> Poly:
+    """Monic product of the distinct roots of p with odd multiplicity.
+
+    Yun's square-free factorization (Yun, SYMSAC 1976) splits p into
+    c * a1 * a2**2 * a3**3 * ... with each a_i square-free and monic and
+    the a_i pairwise coprime; the product of the odd-indexed a_i is returned.
+
+    >>> half, third = Fraction(1, 2), Fraction(1, 3)
+    >>> p = poly_mul(poly_mul([-third, 1], [-third, 1]), [-half, 1])
+    >>> _odd_multiplicity_part(p)
+    [Fraction(-1, 2), Fraction(1, 1)]
+    """
     p = poly_trim(p)
-    if len(p) <= 1:
+    dp = poly_derivative(p)
+    g = poly_gcd(p, dp)
+    if len(g) == 1:  # square-free: every root is simple
         return poly_monic(p)
-    g = poly_gcd(p, poly_derivative(p))
-    quot, rem = poly_divmod(p, g)
-    assert not rem
-    return poly_monic(quot)
+    c, _ = poly_divmod(p, g)
+    d, _ = poly_divmod(dp, g)
+    odd = [Fraction(1)]
+    i = 1
+    while len(c) > 1:
+        # c = const * a_i * a_(i+1) * ...; after the subtraction
+        # d = sum_j (j - i) * a_j' * c/a_j, so gcd(c, d) = a_i
+        d = poly_add(d, poly_neg(poly_derivative(c)))
+        a = poly_gcd(c, d)
+        if i % 2:
+            odd = poly_mul(odd, a)
+        c, _ = poly_divmod(c, a)
+        d, _ = poly_divmod(d, a)
+        i += 1
+    return poly_monic(odd)
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
@@ -365,12 +395,12 @@ def poly_nonneg_on_interval(p: Poly, lo: Fraction, hi: Fraction) -> bool:
     4. Degree 3 and up: nonnegative Bernstein coefficients on [lo, hi]
        certify True (the polynomial is then a nonnegative combination of
        nonnegative basis polynomials).  A negative one decides nothing.
-    5. Otherwise Sturm: interior sign changes can only happen at roots, so
-       the square-free part's roots are counted by Sturm sequences and the
-       interval is bisected until every piece holds at most one root; a
-       piece with no interior root has constant interior sign (read off at
-       its midpoint), and a piece with exactly one root needs one sample
-       point strictly on each side of the root.
+    5. Otherwise Sturm, with no root search: p changes sign exactly at its
+       roots of odd multiplicity.  Their product (Yun's square-free
+       factorization) gets one Sturm count on the open interval (lo, hi);
+       any such root there decides False.  Else p has one sign inside,
+       shown by the first nonzero value among deg equally spaced interior
+       points (at most deg/2 distinct interior roots remain, all even).
 
     >>> one = Fraction(1)
     >>> poly_nonneg_on_interval([one * 0, one], Fraction(0), Fraction(1))
@@ -390,11 +420,14 @@ def poly_nonneg_on_interval(p: Poly, lo: Fraction, hi: Fraction) -> bool:
     True
 
     A cubic that is nonnegative but has a negative Bernstein coefficient
-    falls through to Sturm: t*(t - 1/2)**2 on [0, 1].
+    falls through to Sturm: t*(t - 1/2)**2 on [0, 1].  Its one odd root,
+    t = 0, is not inside (0, 1), so the first sample decides: p(1/4) = 1/64.
 
     >>> cubic = [0 * one, one/4, -one, one]
     >>> _bernstein_coefficients(cubic, Fraction(0), Fraction(1))
     [Fraction(0, 1), Fraction(1, 12), Fraction(-1, 6), Fraction(1, 4)]
+    >>> _odd_multiplicity_part(cubic)
+    [Fraction(0, 1), Fraction(1, 1)]
     >>> poly_nonneg_on_interval(cubic, Fraction(0), Fraction(1))
     True
     """
@@ -417,34 +450,15 @@ def poly_nonneg_on_interval(p: Poly, lo: Fraction, hi: Fraction) -> bool:
         return c1 * c1 <= 4 * c0 * c2
     if all(b >= 0 for b in _bernstein_coefficients(p, lo, hi)):
         return True
-    sqfree = poly_squarefree_part(p)
-    chain = sturm_chain(sqfree)
-
-    def count_open(a: Fraction, b: Fraction) -> int:
-        n = sturm_count_halfopen(chain, a, b)
-        if poly_eval(sqfree, b) == 0:
-            n -= 1
-        return n
-
-    # Invariant for every stacked interval: p >= 0 at both endpoints.
-    stack = [(lo, hi)]
-    while stack:
-        a, b = stack.pop()
-        inside = count_open(a, b)
-        mid = (a + b) / 2
-        if inside == 0:
-            if poly_eval(p, mid) < 0:
-                return False
-            continue
-        if inside == 1:
-            if not _one_root_nonneg(p, sqfree, count_open, a, b):
-                return False
-            continue
-        if poly_eval(p, mid) < 0:
-            return False
-        stack.append((a, mid))
-        stack.append((mid, b))
-    return True
+    odd = _odd_multiplicity_part(p)
+    if sturm_count_halfopen(sturm_chain(odd), lo, hi) - (poly_eval(odd, hi) == 0):
+        return False
+    # p changes sign only at odd-multiplicity roots; with none inside, its
+    # interior sign is that of any nonzero interior value.  At most deg/2
+    # distinct interior roots remain, so deg equally spaced points hold one.
+    step = (hi - lo) / len(p)
+    samples = (poly_eval(p, lo + i * step) for i in range(1, len(p)))
+    return next(v for v in samples if v) > 0
 
 
 def _bernstein_coefficients(p: Poly, lo: Fraction, hi: Fraction) -> Poly:
@@ -469,39 +483,6 @@ def _bernstein_coefficients(p: Poly, lo: Fraction, hi: Fraction) -> Poly:
         sum((Fraction(comb(i, k), comb(n, k)) * q[k] for k in range(i + 1)), Fraction(0))
         for i in range(n + 1)
     ]
-
-
-def _one_root_nonneg(p, sqfree, count_open, a, b) -> bool:
-    """[a, b] holds exactly one root r of p in its interior, p(a), p(b) >= 0.
-
-    The sign of p is constant on (a, r) and on (r, b).  A strictly positive
-    endpoint already certifies its side; an endpoint that is itself a root
-    needs a sample strictly between it and r, found by bisecting a bracket
-    around r (midpoints cannot stay on one side of r forever, since the
-    bracket length halves while r stays interior).
-    """
-    need_left = poly_eval(p, a) == 0
-    need_right = poly_eval(p, b) == 0
-    u, v = a, b
-    while need_left or need_right:
-        m = (u + v) / 2
-        if poly_eval(sqfree, m) == 0:
-            # m is the root itself: sample both sides directly.
-            if need_left and poly_eval(p, (a + m) / 2) < 0:
-                return False
-            if need_right and poly_eval(p, (m + b) / 2) < 0:
-                return False
-            return True
-        if poly_eval(p, m) < 0:
-            return False
-        if count_open(u, m) == 1:
-            # root lies left of m, so m samples the right side
-            need_right = False
-            v = m
-        else:
-            need_left = False
-            u = m
-    return True
 
 
 if __name__ == "__main__":

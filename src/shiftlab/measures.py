@@ -24,6 +24,7 @@ from typing import Iterable, Union
 from .exactnum import (
     Poly,
     format_rational,
+    parse_list_field,
     parse_rational_field,
     poly_add,
     poly_eval,
@@ -319,18 +320,21 @@ def measure1d_from_json(obj: object, where: str = "measure") -> Measure1D:
     if unknown:
         raise MeasureError(f"{where}: unknown keys {sorted(unknown)}")
     atoms = []
-    for i, pair in enumerate(obj.get("atoms", [])):
+    for i, pair in enumerate(parse_list_field(obj.get("atoms", []), f"{where}.atoms", MeasureError)):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise MeasureError(f"{where}.atoms[{i}]: expected [point, mass]")
         point = parse_rational_field(pair[0], f"{where}.atoms[{i}][0]", MeasureError)
         mass = parse_rational_field(pair[1], f"{where}.atoms[{i}][1]", MeasureError)
         atoms.append((point, mass))
     segments = []
-    for i, seg in enumerate(obj.get("segments", [])):
+    for i, seg in enumerate(parse_list_field(obj.get("segments", []), f"{where}.segments", MeasureError)):
         if not isinstance(seg, dict) or not {"coeffs", "lo", "hi"} <= set(seg):
             raise MeasureError(f"{where}.segments[{i}]: expected coeffs/lo/hi")
         at = f"{where}.segments[{i}]"
-        coeffs = [parse_rational_field(c, f"{at}.coeffs[{j}]", MeasureError) for j, c in enumerate(seg["coeffs"])]
+        coeffs = [
+            parse_rational_field(c, f"{at}.coeffs[{j}]", MeasureError)
+            for j, c in enumerate(parse_list_field(seg["coeffs"], f"{at}.coeffs", MeasureError))
+        ]
         lo = parse_rational_field(seg["lo"], f"{at}.lo", MeasureError)
         hi = parse_rational_field(seg["hi"], f"{at}.hi", MeasureError)
         segments.append((coeffs, lo, hi))
@@ -398,9 +402,6 @@ class Measure2D:
                 for t in self.terms
             ]
         }
-
-
-ZERO_2D = Measure2D(())
 
 
 def _s_components(s: Measure1D) -> list[tuple[tuple, Fraction, Measure1D]]:
@@ -489,14 +490,17 @@ def max_backward_weight_sq(eta_m: Measure1D) -> Fraction:
 
 
 @dataclass(frozen=True)
-class Extension1Result:
+class ExtensionResult:
+    """A backward-extension verdict: on success the extended representing
+    measure, else the first failed condition ("i", "ii" or "iii")."""
+
     ok: bool
     failed: str | None
-    measure: Measure1D | None
+    measure: Measure1D | Measure2D | None
     inv_t_norm: NormValue
 
 
-def backward_ext_1var(eta_m: Measure1D, beta0_sq: Fraction) -> Extension1Result:
+def backward_ext_1var(eta_m: Measure1D, beta0_sq: Fraction) -> ExtensionResult:
     """Prepend a weight below the shift represented by eta_m.
 
     Conditions: (i) the 1/t norm of eta_m is finite, (ii) beta0_sq times
@@ -509,27 +513,19 @@ def backward_ext_1var(eta_m: Measure1D, beta0_sq: Fraction) -> Extension1Result:
         raise MeasureError("prepended squared weight must be positive")
     norm = eta_m.inv_t_norm()
     if norm is INFINITE:
-        return Extension1Result(False, "i", None, norm)
+        return ExtensionResult(False, "i", None, norm)
     if beta0_sq * norm > 1:
-        return Extension1Result(False, "ii", None, norm)
+        return ExtensionResult(False, "ii", None, norm)
     extended = combine1d(
         [
             (beta0_sq, _divide_by_t(eta_m)),
             (Fraction(1) - beta0_sq * norm, delta(Fraction(0))),
         ]
     )
-    return Extension1Result(True, None, extended, norm)
+    return ExtensionResult(True, None, extended, norm)
 
 
-@dataclass(frozen=True)
-class Extension2Result:
-    ok: bool
-    failed: str | None
-    measure: Measure2D | None
-    inv_t_norm: NormValue
-
-
-def backward_ext_2var(mu_m: Measure2D, xi: Measure1D, beta00_sq: Fraction) -> Extension2Result:
+def backward_ext_2var(mu_m: Measure2D, xi: Measure1D, beta00_sq: Fraction) -> ExtensionResult:
     """Prepend a row below a 2-variable shift with representing measure mu_m.
 
     Conditions: (i) finite 1/t norm N, (ii) beta00_sq * N <= 1, and
@@ -548,15 +544,15 @@ def backward_ext_2var(mu_m: Measure2D, xi: Measure1D, beta00_sq: Fraction) -> Ex
         raise MeasureError("prepended squared weight must be positive")
     norm = mu_m.inv_t_norm()
     if norm is INFINITE:
-        return Extension2Result(False, "i", None, norm)
+        return ExtensionResult(False, "i", None, norm)
     if beta00_sq * norm > 1:
-        return Extension2Result(False, "ii", None, norm)
+        return ExtensionResult(False, "ii", None, norm)
     ext = extremal(mu_m)
     scaled_marginal = ext.marginal_x().scale(beta00_sq * norm)
     try:
         remainder = measure_sub(xi, scaled_marginal)
     except NegativePartError:
-        return Extension2Result(False, "iii", None, norm)
+        return ExtensionResult(False, "iii", None, norm)
     terms = [(beta00_sq * norm * t.coeff, t.s_part, t.t_part) for t in ext.terms]
     terms.append((Fraction(1), remainder, delta(Fraction(0))))
-    return Extension2Result(True, None, make2d(terms), norm)
+    return ExtensionResult(True, None, make2d(terms), norm)

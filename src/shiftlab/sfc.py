@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import parse_rational_field
+from .exactnum import decimal_string, format_rational, parse_rational_field
 from .measures import (
     INFINITE,
     Measure1D,
@@ -137,9 +137,6 @@ def s_threshold_sq(p: SFCParams) -> Fraction:
             "the zero-atom constraint degenerates"
         )
     return min(p.xi_at_one / p.a_sq, p.xi_at_zero / (p.inv_t_norm - p.a_sq))
-
-
-VERDICTS = ("NotHyponormal", "HyponormalNotSubnormal", "Subnormal")
 
 
 @dataclass(frozen=True)
@@ -268,6 +265,25 @@ def scan_region(a_sq_lo: Fraction, a_sq_hi: Fraction, steps: int) -> list[ScanRo
             raise SFCError(f"threshold ordering failed at a_sq = {a_sq}: h {h_sq} <= s {s_sq}")
         rows.append(ScanRow(a_sq, h_sq, s_sq))
     return rows
+
+
+def scan_csv_text(rows: list[ScanRow], digits: int) -> str:
+    """The scan as CSV: exact thresholds, then their decimals and the gap."""
+    lines = ["a_sq,h_sq,s_sq,h_dec,s_dec,gap_dec"]
+    for row in rows:
+        lines.append(
+            ",".join(
+                [
+                    format_rational(row.a_sq),
+                    format_rational(row.h_sq),
+                    format_rational(row.s_sq),
+                    decimal_string(row.h_sq, digits),
+                    decimal_string(row.s_sq, digits),
+                    decimal_string(row.gap_sq, digits),
+                ]
+            )
+        )
+    return "\n".join(lines) + "\n"
 
 
 def moment_domination_check(xi: Measure1D) -> bool:

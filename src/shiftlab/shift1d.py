@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactnum import Matrix, format_rational, matrix_det, parse_rational_field, psd_check
+from .exactnum import Matrix, format_rational, matrix_det, parse_list_field, parse_rational_field, psd_check
 from .measures import Measure1D, MeasureError
 
 TAIL_KINDS = ("constant", "bergman_like", "alpha_family", "beta_r_family", "none")
@@ -165,7 +165,7 @@ def weights_from_json(obj: object, where: str = "weights") -> WeightSeq:
         value = parse_rational_field(raw_value, f"{where}.tail.value", ShiftError)
     prefix = [
         parse_rational_field(w, f"{where}.prefix_sq[{i}]", ShiftError)
-        for i, w in enumerate(obj.get("prefix_sq", []))
+        for i, w in enumerate(parse_list_field(obj.get("prefix_sq", []), f"{where}.prefix_sq", ShiftError))
     ]
     return make_weights(prefix, WeightTail(kind, value))
 

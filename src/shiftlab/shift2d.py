@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .exactnum import format_rational, parse_rational_field, psd2_radical_cross
-from .measures import Measure1D
+from .exactnum import format_rational, parse_list_field, parse_rational_field, psd2_radical_cross
+from .measures import Measure1D, backward_ext_2var, density, make1d, make2d
 from .shift1d import WeightSeq, alpha_family, bergman_like, flat_shift, unilateral, weights_from_json
 
 Index = tuple[int, int]
@@ -375,8 +375,6 @@ def build_figure9(y_sq: Fraction) -> ShiftGrid2D:
 def figure9_standard_measures() -> tuple:
     """The representing measure of the core (an atom pair times t dt) and the
     three-atom level-0 measure used by the backward-extension calculation."""
-    from .measures import delta, density, make1d, make2d
-
     s_part = make1d([(Fraction(0), Fraction(1)), (Fraction(1), Fraction(1))])
     t_part = density([Fraction(0), Fraction(1)])
     mu_m = make2d([(Fraction(1), s_part, t_part)])
@@ -392,8 +390,6 @@ def figure9_standard_measures() -> tuple:
 
 def figure9_subnormality(y_sq: Fraction):
     """Backward-extension verdict for the optimal flat extension family."""
-    from .measures import backward_ext_2var
-
     mu_m, xi = figure9_standard_measures()
     return backward_ext_2var(mu_m, xi, Fraction(y_sq))
 
@@ -514,14 +510,15 @@ def figure5_g(m: int, ell_up: int = 3) -> Fraction:
     return (1 + (m + 2) * (m + 3) * (1 - y_m) ** 2 / y_m) / up.gamma(m)[m]
 
 
-def _figure5_seeds(k2: int, alpha0_sq: Fraction, beta0_sq: Fraction | None) -> list[Fraction]:
-    """Column seeds, bottom to top, indices 0..k2: the top two are pinned to
+def _figure5_seeds(chain: list[int], alpha0_sq: Fraction, beta0_sq: Fraction | None) -> list[Fraction]:
+    """Column seeds, bottom to top, indices 0..k2 for k2 = len(chain), the
+    ``bergman_chain(k2)`` of the levels: the top two are pinned to
     1/alpha0_sq and 16/alpha0_sq; lower ones take the largest power of two
     below every applicable bound, unless an explicit bottom seed is given."""
+    k2 = len(chain)
     seeds: list[Fraction | None] = [None] * (k2 + 1)
     seeds[k2] = 16 / alpha0_sq
     seeds[k2 - 1] = 1 / alpha0_sq
-    chain = bergman_chain(k2)
     if k2 == 1:
         top = bergman_like(chain[0])
         x0, x1 = top.weight_sq(0), top.weight_sq(1)
@@ -535,9 +532,8 @@ def _figure5_seeds(k2: int, alpha0_sq: Fraction, beta0_sq: Fraction | None) -> l
             ell_low = chain[k2 - 1 - n]
             ell_up = chain[k2 - 2 - n]
             bound = _pair_seed_bound(ell_low, ell_up, seeds[n + 1])
-            display = _display_bound_top_pair(ell_low, ell_up)
             if n == k2 - 2:
-                bound = min(bound, display, figure5_f(1, (ell_low, ell_up)))
+                bound = min(bound, _display_bound_top_pair(ell_low, ell_up), figure5_f(1, (ell_low, ell_up)))
             if n == 0 and beta0_sq is not None:
                 seeds[n] = beta0_sq
             else:
@@ -569,7 +565,7 @@ def build_figure5(
         if beta0_sq <= 0:
             raise GridError(f"need beta0_sq > 0, got {beta0_sq}")
     chain = bergman_chain(k2)
-    seeds = _figure5_seeds(k2, alpha0_sq, beta0_sq)
+    seeds = _figure5_seeds(chain, alpha0_sq, beta0_sq)
     # bottom to top; index k2 is the flat top, repeated above
     levels = [bergman_like(ell) for ell in reversed(chain)] + [flat_shift(alpha0_sq)]
     spec: dict = {
@@ -710,24 +706,21 @@ def grid_from_json(obj: object, where: str = "grid") -> ShiftGrid2D:
         raise GridError(f"{where}: expected an object with a model")
     model = obj["model"]
     if model == "explicit":
-        try:
-            alpha_rows = [
+
+        def window(name: str) -> list[list[Fraction]]:
+            try:
+                rows = list(enumerate(obj.get(name, [])))
+            except TypeError as exc:
+                raise GridError(f"{where}: malformed explicit window") from exc
+            return [
                 [
-                    parse_rational_field(v, f"{where}.alpha_sq[{i}][{j}]", GridError)
-                    for j, v in enumerate(row)
+                    parse_rational_field(v, f"{where}.{name}[{i}][{j}]", GridError)
+                    for j, v in enumerate(parse_list_field(row, f"{where}.{name}[{i}]", GridError))
                 ]
-                for i, row in enumerate(obj.get("alpha_sq", []))
+                for i, row in rows
             ]
-            beta_rows = [
-                [
-                    parse_rational_field(v, f"{where}.beta_sq[{i}][{j}]", GridError)
-                    for j, v in enumerate(row)
-                ]
-                for i, row in enumerate(obj.get("beta_sq", []))
-            ]
-        except TypeError as exc:
-            raise GridError(f"{where}: malformed explicit window") from exc
-        return build_explicit(alpha_rows, beta_rows)
+
+        return build_explicit(window("alpha_sq"), window("beta_sq"))
     if model == "figure9":
         return build_figure9(parse_rational_field(obj.get("y_sq"), f"{where}.y_sq", GridError))
     if model == "figure5":

@@ -18,6 +18,7 @@ from .sfc import (
     example_family,
     h_threshold_sq,
     s_threshold_sq,
+    scan_csv_text,
     scan_region,
     sfc_backward_extension,
     sfc_grid,
@@ -284,8 +285,6 @@ def check_path_independence() -> bool:
 
 
 def check_scan_csv_shape() -> bool:
-    from .cli import scan_csv_text
-
     rows = scan_region(Fraction(1, 6) + Fraction(1, 100), HALF, 50)
     if len(rows) != 50:
         return False

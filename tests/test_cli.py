@@ -411,6 +411,52 @@ def test_json_booleans_are_bad_input(tmp_path, capsys, spec):
     assert err.startswith("error: ")
 
 
+def _sfc_spec_with_xi(xi):
+    return {"xi": xi, "eta": {"atoms": [["1", "1"]]}, "a_sq": "1/2", "y0_sq": "1/2"}
+
+
+_LIST_FIELDS = {
+    "prefix_sq": (
+        ["moments", "--window", "3"],
+        lambda v: {"prefix_sq": v, "tail": {"kind": "constant", "value": "3"}},
+        "prefix_sq",
+    ),
+    "atoms": (["classify-sfc"], lambda v: _sfc_spec_with_xi({"atoms": v}), "xi.atoms"),
+    "segments": (["classify-sfc"], lambda v: _sfc_spec_with_xi({"segments": v}), "xi.segments"),
+    "coeffs": (
+        ["classify-sfc"],
+        lambda v: _sfc_spec_with_xi({"segments": [{"coeffs": v, "lo": "0", "hi": "1"}]}),
+        "xi.segments[0].coeffs",
+    ),
+    "explicit_row": (
+        ["sixpoint", "--window", "1", "1"],
+        lambda v: {"model": "explicit", "alpha_sq": [v, v], "beta_sq": [["1", "1"], ["1", "1"]]},
+        "alpha_sq[0]",
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [5, "12"], ids=["int", "string"])
+@pytest.mark.parametrize("field", sorted(_LIST_FIELDS))
+def test_list_fields_need_json_arrays(tmp_path, capsys, field, value):
+    # a string must not be read one character at a time, nor an int crash
+    command, build, name = _LIST_FIELDS[field]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(build(value)), encoding="utf-8")
+    code, out, err = run(capsys, [command[0], str(path), *command[1:]])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and f".{name}: expected an array" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(("window", "message"), [(5, "malformed explicit window"), ("12", ".alpha_sq[0]: expected an array")])
+def test_explicit_windows_need_json_arrays(tmp_path, capsys, window, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"model": "explicit", "alpha_sq": window, "beta_sq": [["1"]]}), encoding="utf-8")
+    code, out, err = run(capsys, ["sixpoint", str(path), "--window", "1", "1"])
+    assert code == 2 and out == "" and err.startswith("error: ") and message in err
+
+
 def test_internal_error_exits_three_without_traceback(capsys, specs, monkeypatch):
     import shiftlab.cli as cli
 

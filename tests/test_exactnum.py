@@ -14,16 +14,19 @@ import shiftlab.exactnum
 from shiftlab.exactnum import (
     ExactInputError,
     _bernstein_coefficients,
-    _one_root_nonneg,
+    _odd_multiplicity_part,
     decimal_string,
     format_rational,
     matrix_det,
     parse_rational,
     parse_rational_field,
+    poly_derivative,
+    poly_divmod,
     poly_eval,
+    poly_gcd,
+    poly_monic,
     poly_mul,
     poly_nonneg_on_interval,
-    poly_squarefree_part,
     poly_trim,
     psd2_radical_cross,
     psd_check,
@@ -218,9 +221,54 @@ def test_poly_squares_are_nonnegative(coeffs, lo, width):
     assert poly_nonneg_on_interval(poly_mul(coeffs, coeffs), lo, lo + width)
 
 
+def _squarefree_part(p):
+    """p divided by gcd(p, p'); same distinct roots, all simple."""
+    p = poly_trim(p)
+    if len(p) <= 1:
+        return poly_monic(p)
+    quot, rem = poly_divmod(p, poly_gcd(p, poly_derivative(p)))
+    assert not rem
+    return poly_monic(quot)
+
+
+def _one_root_nonneg(p, sqfree, count_open, a, b) -> bool:
+    """[a, b] holds exactly one root r of p in its interior, p(a), p(b) >= 0.
+
+    The sign of p is constant on (a, r) and on (r, b).  A strictly positive
+    endpoint already certifies its side; an endpoint that is itself a root
+    needs a sample strictly between it and r, found by bisecting a bracket
+    around r (midpoints cannot stay on one side of r forever, since the
+    bracket length halves while r stays interior).
+    """
+    need_left = poly_eval(p, a) == 0
+    need_right = poly_eval(p, b) == 0
+    u, v = a, b
+    while need_left or need_right:
+        m = (u + v) / 2
+        if poly_eval(sqfree, m) == 0:
+            # m is the root itself: sample both sides directly.
+            if need_left and poly_eval(p, (a + m) / 2) < 0:
+                return False
+            if need_right and poly_eval(p, (m + b) / 2) < 0:
+                return False
+            return True
+        if poly_eval(p, m) < 0:
+            return False
+        if count_open(u, m) == 1:
+            # root lies left of m, so m samples the right side
+            need_right = False
+            v = m
+        else:
+            need_left = False
+            u = m
+    return True
+
+
 def _nonneg_by_sturm(p, lo, hi) -> bool:
     """Reference: the Sturm-only decision, endpoint signs then Sturm
-    bisection on every degree, with none of the cheaper certificates."""
+    bisection on every degree, with none of the cheaper certificates: the
+    interval is bisected until every piece holds at most one root of the
+    square-free part, then each root gets a sample on either side."""
     p = poly_trim(p)
     if not p:
         return True
@@ -228,7 +276,7 @@ def _nonneg_by_sturm(p, lo, hi) -> bool:
         return p[0] >= 0
     if poly_eval(p, lo) < 0 or poly_eval(p, hi) < 0:
         return False
-    sqfree = poly_squarefree_part(p)
+    sqfree = _squarefree_part(p)
     chain = sturm_chain(sqfree)
 
     def count_open(a, b):
@@ -312,11 +360,57 @@ def test_poly_nonneg_certificate_rungs():
     cubic = poly_mul([zero, one], square)
     assert min(_bernstein_coefficients(cubic, zero, one)) < 0
     assert poly_nonneg_on_interval(cubic, zero, one)
+    # its mirror (1 - t)*(t - 1/2)**2 has its odd root at hi, not inside
+    mirror = poly_mul([one, -one], square)
+    assert min(_bernstein_coefficients(mirror, zero, one)) < 0
+    assert poly_nonneg_on_interval(mirror, zero, one)
     # a cubic that dips below 0 between nonnegative endpoints:
     # t*((t - 1/2)**2 - 1/100) on [0, 1]
     dip = poly_mul([zero, one], [f(1, 4) - f(1, 100), -one, one])
     assert poly_eval(dip, zero) >= 0 and poly_eval(dip, one) >= 0
     assert not poly_nonneg_on_interval(dip, zero, one)
+
+
+def test_odd_multiplicity_part_keeps_each_odd_root_once():
+    f, zero, one = Fraction, Fraction(0), Fraction(1)
+
+    def power(root, k):
+        out = [one]
+        for _ in range(k):
+            out = poly_mul(out, [-root, one])
+        return out
+
+    # (t - 1/3)**2 (t - 1/2)**3 -> t - 1/2
+    assert _odd_multiplicity_part(poly_mul(power(f(1, 3), 2), power(f(1, 2), 3))) == [-f(1, 2), one]
+    # t (t - 1)**2 (t - 2)**3 (t - 3)**4 (t - 4)**5 -> t (t - 2) (t - 4)
+    p = [one]
+    for r in range(5):
+        p = poly_mul(p, power(f(r), r + 1))
+    assert _odd_multiplicity_part(p) == poly_mul(power(zero, 1), poly_mul(power(f(2), 1), power(f(4), 1)))
+    # square-free input comes back monic; (3t - 2)(t**2 + 1)
+    sqfree = poly_mul([f(-2), 3 * one], [one, zero, one])
+    assert _odd_multiplicity_part(sqfree) == poly_monic(sqfree)
+    # a perfect square has no odd root
+    assert _odd_multiplicity_part(poly_mul(sqfree, sqfree)) == [one]
+
+
+def test_poly_nonneg_reads_a_nonzero_sample_past_double_roots_on_samples():
+    # Sturm's rung samples p at lo + i*(hi - lo)/(deg + 1), i = 1..deg; here
+    # the first two samples are double roots, so the verdict must come from
+    # the third.
+    f, zero, one = Fraction, Fraction(0), Fraction(1)
+    square = lambda r: [r * r, -2 * r, one]
+    # degree 4 on [0, 1]: samples 1/5, 2/5, 3/5, 4/5
+    bumps = poly_mul(square(f(1, 5)), square(f(2, 5)))
+    assert min(_bernstein_coefficients(bumps, zero, one)) < 0
+    assert poly_eval(bumps, f(1, 5)) == poly_eval(bumps, f(2, 5)) == 0
+    assert poly_nonneg_on_interval(bumps, zero, one)
+    # degree 8 on [0, 1]: samples i/9; -t**2 (t - 1)**2 (t - 1/9)**2 (t - 2/9)**2
+    # is 0 at both ends and at the first two samples, negative elsewhere
+    well = [-c for c in poly_mul(poly_mul(square(zero), square(one)), poly_mul(square(f(1, 9)), square(f(2, 9))))]
+    assert min(_bernstein_coefficients(well, zero, one)) < 0
+    assert poly_eval(well, f(1, 9)) == poly_eval(well, f(2, 9)) == 0
+    assert not poly_nonneg_on_interval(well, zero, one)
 
 
 @given(

@@ -455,7 +455,7 @@ def _totallyflat_rules(x_row, y_sq):
 
 def _figure5_rules(k2, alpha0_sq, beta0_sq):
     chain = bergman_chain(k2)
-    seeds = _figure5_seeds(k2, alpha0_sq, beta0_sq)
+    seeds = _figure5_seeds(chain, alpha0_sq, beta0_sq)
 
     def alpha(k1, k2_):
         if k2_ < k2:
