@@ -12,9 +12,15 @@ The first is settled by one exact symmetric (LDL^T) elimination with a
 zero-pivot rule, the second by eliminating the radical (compare
 ``L = A1*A2 - P - Q`` against ``-2*sqrt(P*Q)`` via squaring), and the third
 by a ladder of certificates: endpoint signs, a closed form up to degree 2,
-nonnegative Bernstein coefficients, and last one Sturm count of the
-odd-multiplicity roots with one interior sign sample, the one complete
-method for every degree.
+nonnegative Bernstein coefficients on the interval or on its two halves,
+and last one Sturm count of the odd-multiplicity roots with one interior
+sign sample, the one complete method for every degree.
+
+The radical test accepts ints as well as Fractions, and its verdict does
+not change when ``A1`` is scaled by ``s1 > 0``, ``A2`` by ``s2 > 0`` and
+``P``, ``Q`` by ``s1*s2``.  A caller holding numerators and denominators
+can therefore clear them and ask on integers, with no gcd on the way
+(`shiftlab.shift2d.six_point_data` does).
 No floating point is used anywhere in this module.
 
 Polynomials are plain lists of Fractions in ascending degree order,
@@ -200,7 +206,9 @@ def psd_check(rows: Matrix) -> bool:
     return True
 
 
-def psd2_radical_cross(a1: Fraction, a2: Fraction, p: Fraction, q: Fraction) -> bool:
+def psd2_radical_cross(
+    a1: Fraction | int, a2: Fraction | int, p: Fraction | int, q: Fraction | int
+) -> bool:
     """Decide PSD of [[a1, sqrt(p)-sqrt(q)], [sqrt(p)-sqrt(q), a2]] exactly.
 
     The matrix is PSD iff a1 >= 0, a2 >= 0 and a1*a2 >= (sqrt(p)-sqrt(q))**2.
@@ -208,10 +216,20 @@ def psd2_radical_cross(a1: Fraction, a2: Fraction, p: Fraction, q: Fraction) -> 
     holds iff L >= 0 or L**2 <= 4*p*q.  Negative p or q means a squared
     weight went negative upstream and is rejected loudly.
 
+    The arguments may be ints or Fractions.  Scaling a1 by s1 > 0, a2 by
+    s2 > 0 and p, q by s1*s2 scales both sides of every comparison above by
+    a positive factor, so the verdict does not change; on cleared
+    denominators the test runs in integer arithmetic alone.
+
     >>> psd2_radical_cross(Fraction(1, 3), Fraction(1, 3), Fraction(1, 6), Fraction(1, 6))
     True
     >>> psd2_radical_cross(Fraction(1, 3), Fraction(0), Fraction(1, 6), Fraction(1, 24))
     False
+
+    The first case again with a1 scaled by 3, a2 by 18 and p, q by 54:
+
+    >>> psd2_radical_cross(1, 6, 9, 9)
+    True
     """
     if p < 0 or q < 0:
         raise ExactInputError("cross-term squares must be nonnegative")
@@ -394,7 +412,10 @@ def poly_nonneg_on_interval(p: Poly, lo: Fraction, hi: Fraction) -> bool:
        is ``c1**2 <= 4*c0*c2``.
     4. Degree 3 and up: nonnegative Bernstein coefficients on [lo, hi]
        certify True (the polynomial is then a nonnegative combination of
-       nonnegative basis polynomials).  A negative one decides nothing.
+       nonnegative basis polynomials).  A negative one decides nothing, so
+       the coefficients are tried once more on each half at the midpoint:
+       a root at an endpoint leaves a negative coefficient beside it on
+       the whole interval that often clears on the halves.
     5. Otherwise Sturm, with no root search: p changes sign exactly at its
        roots of odd multiplicity.  Their product (Yun's square-free
        factorization) gets one Sturm count on the open interval (lo, hi);
@@ -419,16 +440,27 @@ def poly_nonneg_on_interval(p: Poly, lo: Fraction, hi: Fraction) -> bool:
     >>> poly_nonneg_on_interval(dip, Fraction(3, 4), Fraction(1))
     True
 
-    A cubic that is nonnegative but has a negative Bernstein coefficient
-    falls through to Sturm: t*(t - 1/2)**2 on [0, 1].  Its one odd root,
-    t = 0, is not inside (0, 1), so the first sample decides: p(1/4) = 1/64.
+    A nonnegative cubic with a root at lo, t*(t - 1/2)**2 on [0, 1], has a
+    negative Bernstein coefficient there, but none on [0, 1/2] or on
+    [1/2, 1]; the split certifies it.
 
     >>> cubic = [0 * one, one/4, -one, one]
     >>> _bernstein_coefficients(cubic, Fraction(0), Fraction(1))
     [Fraction(0, 1), Fraction(1, 12), Fraction(-1, 6), Fraction(1, 4)]
-    >>> _odd_multiplicity_part(cubic)
-    [Fraction(0, 1), Fraction(1, 1)]
+    >>> _bernstein_coefficients(cubic, Fraction(0), Fraction(1, 2))
+    [Fraction(0, 1), Fraction(1, 24), Fraction(0, 1), Fraction(0, 1)]
     >>> poly_nonneg_on_interval(cubic, Fraction(0), Fraction(1))
+    True
+
+    An interior double root defeats Bernstein on every interval that holds
+    it, so t*(t - 1/3)**2 on [0, 1] falls through to Sturm.  Its one odd
+    root, t = 0, is not inside (0, 1), so the first sample decides:
+    p(1/4) = 1/576.
+
+    >>> notch = [0 * one, one/9, -2*one/3, one]
+    >>> _odd_multiplicity_part(notch)
+    [Fraction(0, 1), Fraction(1, 1)]
+    >>> poly_nonneg_on_interval(notch, Fraction(0), Fraction(1))
     True
     """
     if lo >= hi:
@@ -448,7 +480,10 @@ def poly_nonneg_on_interval(p: Poly, lo: Fraction, hi: Fraction) -> bool:
         if c2 < 0 or not 2 * c2 * lo < -c1 < 2 * c2 * hi:
             return True
         return c1 * c1 <= 4 * c0 * c2
-    if all(b >= 0 for b in _bernstein_coefficients(p, lo, hi)):
+    mid = (lo + hi) / 2
+    if _bernstein_nonneg(p, lo, hi):
+        return True
+    if _bernstein_nonneg(p, lo, mid) and _bernstein_nonneg(p, mid, hi):
         return True
     odd = _odd_multiplicity_part(p)
     if sturm_count_halfopen(sturm_chain(odd), lo, hi) - (poly_eval(odd, hi) == 0):
@@ -459,6 +494,10 @@ def poly_nonneg_on_interval(p: Poly, lo: Fraction, hi: Fraction) -> bool:
     step = (hi - lo) / len(p)
     samples = (poly_eval(p, lo + i * step) for i in range(1, len(p)))
     return next(v for v in samples if v) > 0
+
+
+def _bernstein_nonneg(p: Poly, lo: Fraction, hi: Fraction) -> bool:
+    return all(b >= 0 for b in _bernstein_coefficients(p, lo, hi))
 
 
 def _bernstein_coefficients(p: Poly, lo: Fraction, hi: Fraction) -> Poly:

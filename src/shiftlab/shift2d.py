@@ -10,7 +10,8 @@ each level's betas, which follow from the commuting identity
 so commutativity holds by construction and `check_commuting` re-verifies it
 on demand.  A level that repeats the one above keeps its seed all along, the
 grid form of flatness.  Positivity tests route every 2 x 2 cross term through
-the exact radical-elimination comparison; verdicts never touch floating point.
+the exact radical-elimination comparison, asked on integers with the weights'
+denominators cleared; verdicts never touch floating point.
 
 Every window scan reads the grid in the order of `window_indices`, and the
 first failing index wins as witness.
@@ -178,22 +179,69 @@ def gamma2_up_first(g: ShiftGrid2D, k: Index) -> Fraction:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SixPointData:
-    a1: Fraction
-    a2: Fraction
-    p: Fraction
-    q: Fraction
+    """The six-point test at one index k: the verdict ``ok`` and the six
+    squared weights it read, alpha_sq and beta_sq at k, k + e1 and k + e2.
+
+    The matrix entries a1 = alpha_sq(k + e1) - alpha_sq(k),
+    a2 = beta_sq(k + e2) - beta_sq(k), p = alpha_sq(k + e2) * beta_sq(k + e1)
+    and q = alpha_sq(k) * beta_sq(k) are worked out on each read:
+    a scan needs only ``ok``, and only reports print the entries.  Two
+    results are equal when their (a1, a2, p, q, ok) are.
+    """
+
+    _alpha: tuple[Fraction, Fraction, Fraction]
+    _beta: tuple[Fraction, Fraction, Fraction]
     ok: bool
+
+    @property
+    def a1(self) -> Fraction:
+        return self._alpha[1] - self._alpha[0]
+
+    @property
+    def a2(self) -> Fraction:
+        return self._beta[2] - self._beta[0]
+
+    @property
+    def p(self) -> Fraction:
+        return self._alpha[2] * self._beta[1]
+
+    @property
+    def q(self) -> Fraction:
+        return self._alpha[0] * self._beta[0]
+
+    def _entries(self) -> tuple:
+        return self.a1, self.a2, self.p, self.q, self.ok
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SixPointData) and self._entries() == other._entries()
+
+    def __hash__(self) -> int:
+        return hash(self._entries())
 
 
 def six_point_data(g: ShiftGrid2D, k: Index) -> SixPointData:
+    """Six-point test at k on cleared denominators.
+
+    With a1 = n1/d1, a2 = n2/d2, p = pn/pd and q = qn/qd formed without
+    reducing, the radical test is unchanged by scaling a1 by d1, a2 by
+    d2*pd*qd and p, q by d1*d2*pd*qd, so it runs on integers only."""
     k1, k2 = k
-    a1 = g.alpha_sq(k1 + 1, k2) - g.alpha_sq(k1, k2)
-    a2 = g.beta_sq(k1, k2 + 1) - g.beta_sq(k1, k2)
-    p = g.alpha_sq(k1, k2 + 1) * g.beta_sq(k1 + 1, k2)
-    q = g.alpha_sq(k1, k2) * g.beta_sq(k1, k2)
-    return SixPointData(a1, a2, p, q, psd2_radical_cross(a1, a2, p, q))
+    alpha = a, a_right, a_up = g.alpha_sq(k1, k2), g.alpha_sq(k1 + 1, k2), g.alpha_sq(k1, k2 + 1)
+    beta = b, b_right, b_up = g.beta_sq(k1, k2), g.beta_sq(k1 + 1, k2), g.beta_sq(k1, k2 + 1)
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    d1 = a_right.denominator * ad
+    d2 = b_up.denominator * bd
+    pd = a_up.denominator * b_right.denominator
+    qd = ad * bd
+    n1 = a_right.numerator * ad - an * a_right.denominator
+    n2 = b_up.numerator * bd - bn * b_up.denominator
+    scale = d1 * d2
+    ok = psd2_radical_cross(
+        n1, n2 * pd * qd, a_up.numerator * b_right.numerator * scale * qd, an * bn * scale * pd
+    )
+    return SixPointData(alpha, beta, ok)
 
 
 def six_point(g: ShiftGrid2D, k: Index) -> bool:
@@ -568,11 +616,16 @@ def build_figure5(
     seeds = _figure5_seeds(chain, alpha0_sq, beta0_sq)
     # bottom to top; index k2 is the flat top, repeated above
     levels = [bergman_like(ell) for ell in reversed(chain)] + [flat_shift(alpha0_sq)]
+    try:
+        beta0_text = format_rational(seeds[0])
+    except ValueError as exc:  # Python's int-to-string digit limit
+        message = f"k2 = {k2} is too deep: the bottom seed beta0_sq has too many digits to print"
+        raise GridError(message) from exc
     spec: dict = {
         "model": "figure5",
         "k2": k2,
         "alpha0_sq": format_rational(alpha0_sq),
-        "beta0_sq": format_rational(seeds[0]),
+        "beta0_sq": beta0_text,
     }
     grid = _stacked_grid("figure5", lambda n: levels[min(n, k2)], lambda n: seeds[min(n, k2)], spec)
     report = _figure5_report(k2, alpha0_sq, seeds, chain)

@@ -469,12 +469,14 @@ def test_internal_error_exits_three_without_traceback(capsys, specs, monkeypatch
     assert err == "internal error: RuntimeError: broken subcommand\n"
 
 
-def test_deep_figure5_is_an_internal_error_not_a_witness(tmp_path, capsys):
+@pytest.mark.parametrize("k2", [31, 40])
+def test_deep_figure5_is_an_input_error(tmp_path, capsys, k2):
+    # the bottom seed 2**-j passes Python's int-to-string digit limit
     path = tmp_path / "deep.json"
-    path.write_text(json.dumps({"model": "figure5", "k2": 40, "alpha0_sq": "1/4"}), encoding="utf-8")
+    path.write_text(json.dumps({"model": "figure5", "k2": k2, "alpha0_sq": "1/4"}), encoding="utf-8")
     code, out, err = run(capsys, ["joint", str(path), "--window", "5", "5"])
-    assert code == 3 and out == ""
-    assert err.startswith("internal error: ") and "Traceback" not in err
+    assert code == 2 and out == ""
+    assert err == f"error: k2 = {k2} is too deep: the bottom seed beta0_sq has too many digits to print\n"
 
 
 _unit_points = st.fractions(min_value=0, max_value=1, max_denominator=8)

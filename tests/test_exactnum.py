@@ -124,6 +124,63 @@ def test_psd2_radical_cross_rejects_negative_products():
         psd2_radical_cross(Fraction(1), Fraction(1), Fraction(-1), Fraction(1))
 
 
+@pytest.mark.parametrize(("p", "q"), [(-1, 1), (1, -1), (-1, 0)])
+def test_psd2_radical_cross_rejects_negative_integer_products(p, q):
+    with pytest.raises(ExactInputError):
+        psd2_radical_cross(1, 1, p, q)
+
+
+_signed_ints = st.integers(-(2**80), 2**80)
+_signed_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=2**40)
+
+
+@st.composite
+def _radical_case(draw, values):
+    """(a1, a2, p, q): free draws, or p = u**2 and q = v**2 (u, v >= 0) with
+    a1*a2 on the boundary (u - v)**2, or one unit below it."""
+    a1, a2 = draw(values), draw(values)
+    p, q = abs(draw(values)), abs(draw(values))
+    kind = draw(st.sampled_from(["free", "boundary", "past"]))
+    if kind != "free":
+        u, v = abs(draw(values)), abs(draw(values))
+        p, q = u * u, v * v
+        a1, a2 = (u - v) ** 2 - (kind == "past"), type(u)(1)
+        if draw(st.booleans()):
+            a1, a2 = a2, a1
+    return a1, a2, p, q, kind
+
+
+@pytest.mark.parametrize(
+    ("values", "scales"),
+    [
+        (_signed_ints, st.integers(1, 2**80)),
+        (_signed_fractions, st.fractions(min_value=Fraction(1, 2**40), max_value=2**40)),
+    ],
+    ids=["ints", "fractions"],
+)
+def test_psd2_radical_cross_is_invariant_under_scaling(values, scales):
+    # scaling a1 by s1 > 0, a2 by s2 > 0 and p, q by s1*s2 keeps the verdict
+    @given(_radical_case(values), scales, scales)
+    @settings(max_examples=200)
+    def check(case, s1, s2):
+        a1, a2, p, q, kind = case
+        verdict = psd2_radical_cross(a1, a2, p, q)
+        assert psd2_radical_cross(a1 * s1, a2 * s2, p * s1 * s2, q * s1 * s2) == verdict
+        if kind == "boundary":
+            assert verdict  # a1*a2 == (sqrt(p) - sqrt(q))**2 is PSD
+        elif kind == "past":
+            assert not verdict
+
+    check()
+
+
+def test_psd2_radical_cross_on_the_boundary():
+    # a1*a2 == (sqrt(p) - sqrt(q))**2 exactly: L = -4 and L**2 == 4*p*q
+    assert psd2_radical_cross(1, 1, 1, 4)
+    assert psd2_radical_cross(Fraction(1, 3), Fraction(3), Fraction(1), Fraction(4))
+    assert not psd2_radical_cross(1, 1, 1, 5)
+
+
 def _oracle_psd2(a1, a2, p, q) -> tuple[bool, Decimal]:
     """50-digit floating evaluation of a1*a2 - (sqrt(p) - sqrt(q))**2."""
     getcontext().prec = 50
@@ -355,8 +412,8 @@ def test_poly_nonneg_certificate_rungs():
     assert poly_nonneg_on_interval(square, zero, one)
     # vertex inside with a negative minimum between nonnegative endpoints
     assert not poly_nonneg_on_interval([f(3, 16), -one, one], zero, one)
-    # a nonnegative cubic with a negative Bernstein coefficient reaches
-    # Sturm: t*(t - 1/2)**2 on [0, 1]
+    # a nonnegative cubic with a negative Bernstein coefficient:
+    # t*(t - 1/2)**2 on [0, 1]
     cubic = poly_mul([zero, one], square)
     assert min(_bernstein_coefficients(cubic, zero, one)) < 0
     assert poly_nonneg_on_interval(cubic, zero, one)
@@ -369,6 +426,27 @@ def test_poly_nonneg_certificate_rungs():
     dip = poly_mul([zero, one], [f(1, 4) - f(1, 100), -one, one])
     assert poly_eval(dip, zero) >= 0 and poly_eval(dip, one) >= 0
     assert not poly_nonneg_on_interval(dip, zero, one)
+
+
+def test_bernstein_split_certifies_cubics_with_an_endpoint_root(monkeypatch):
+    f, zero, one = Fraction, Fraction(0), Fraction(1)
+    # t*((t - 1/2)**2 + 1/100) on [0, 1] vanishes at lo; its Bernstein
+    # coefficients fail on [0, 1] and pass on both halves, so no Sturm chain
+    # is built.  The mirror (1 - t)*(...) vanishes at hi.
+    bowl = [f(1, 4) + f(1, 100), -one, one]
+    at_lo = poly_mul([zero, one], bowl)
+    at_hi = poly_mul([one, -one], bowl)
+    # the same shape on [2, 4]: root at lo = 2
+    shifted = poly_mul([-2 * one, one], [f(9) + f(1, 25), -6 * one, one])
+    cases = [(at_lo, zero, one), (at_hi, zero, one), (shifted, f(2), f(4))]
+    for p, lo, hi in cases:
+        mid = (lo + hi) / 2
+        assert min(_bernstein_coefficients(p, lo, hi)) < 0
+        assert min(_bernstein_coefficients(p, lo, mid) + _bernstein_coefficients(p, mid, hi)) >= 0
+    monkeypatch.setattr(shiftlab.exactnum, "sturm_chain", None)
+    for p, lo, hi in cases:
+        assert poly_nonneg_on_interval(p, lo, hi)
+        assert _nonneg_by_sturm(p, lo, hi)
 
 
 def test_odd_multiplicity_part_keeps_each_odd_root_once():
@@ -516,4 +594,4 @@ def test_psd_check_zero_pivot_rule():
 
 def test_exactnum_doctests_pass():
     results = doctest.testmod(shiftlab.exactnum)
-    assert results.attempted >= 23 and results.failed == 0
+    assert results.attempted >= 31 and results.failed == 0

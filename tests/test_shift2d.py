@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftlab.exactnum import psd2_radical_cross
 from shiftlab.measures import combine1d, delta, lebesgue, make1d
 from shiftlab.sfc import make_params, sfc_grid
 from shiftlab.shift1d import WeightSeq, WeightTail, alpha_family, make_weights
 from shiftlab.shift2d import (
     GridError,
+    ShiftGrid2D,
     _figure5_seeds,
     _largest_pow2_at_most,
     bergman_chain,
@@ -175,6 +177,116 @@ def test_six_point_scan_matches_pointwise_data():
     assert all(data == six_point_data(g, k) for k, data in table)
     first_failure = next(k for k, data in table if not data.ok)
     assert joint_hyponormal_window(g, 4, 3).witness == (first_failure, "six_point")
+
+
+def _six_point_by_fractions(g, k):
+    """Reference: the six-point entries as reduced Fraction differences and
+    products, then the radical test on those Fractions."""
+    k1, k2 = k
+    a1 = g.alpha_sq(k1 + 1, k2) - g.alpha_sq(k1, k2)
+    a2 = g.beta_sq(k1, k2 + 1) - g.beta_sq(k1, k2)
+    p = g.alpha_sq(k1, k2 + 1) * g.beta_sq(k1 + 1, k2)
+    q = g.alpha_sq(k1, k2) * g.beta_sq(k1, k2)
+    return a1, a2, p, q, psd2_radical_cross(a1, a2, p, q)
+
+
+def _grid_around_origin(alpha, beta):
+    """Grid that reads (alpha_sq, beta_sq) at (0, 0), (1, 0) and (0, 1)."""
+    spots = dict(zip([(0, 0), (1, 0), (0, 1)], zip(alpha, beta)))
+    return ShiftGrid2D("test", lambda k1, k2: spots[k1, k2][0], lambda k1, k2: spots[k1, k2][1], {})
+
+
+# Squared weights with numerators and denominators from 1 up to 2**6000, as
+# the figure5 power-of-two seeds reach, and powers of two themselves.
+_magnitudes = st.one_of(st.integers(1, 60), st.integers(1, 2**64), st.integers(1, 2**6000))
+_weights = st.one_of(
+    st.builds(F, _magnitudes, _magnitudes),
+    st.integers(0, 6000).map(lambda j: F(1, 2**j)),
+    st.integers(0, 6000).map(lambda j: F(2**j)),
+)
+
+
+@st.composite
+def _six_weights(draw):
+    """alpha_sq and beta_sq at k, k + e1, k + e2: free draws (so neighbours
+    decrease about half the time), or with equal neighbours forcing a1 = 0,
+    a2 = 0 or p = q, or on the boundary a1*a2 = (sqrt(p) - sqrt(q))**2 and
+    just off it, where any mis-scaled operand flips the verdict."""
+    if draw(st.booleans()):
+        roots = [draw(_weights) for _ in range(4)]
+        a, a_up, b, b_right = (r * r for r in roots)
+        gap = roots[1] * roots[3] - roots[0] * roots[2]  # sqrt(p) - sqrt(q)
+        a1 = draw(_weights)
+        nudge = draw(st.sampled_from([0, 1, -1])) * F(1, draw(_magnitudes) + 1)
+        return (a, a + a1, a_up), (b, b_right, b + gap * gap / a1 * (1 + nudge))
+    a, a_right, a_up, b, b_right, b_up = (draw(_weights) for _ in range(6))
+    if draw(st.booleans()):
+        a_right = a
+    if draw(st.booleans()):
+        b_up = b
+    if draw(st.booleans()):
+        b_right = a * b / a_up
+    if draw(st.booleans()):
+        # a decreasing neighbour just below its base
+        a_right = a - a / (draw(_magnitudes) + 1)
+    return (a, a_right, a_up), (b, b_right, b_up)
+
+
+@given(_six_weights())
+@settings(max_examples=300, deadline=None)
+def test_six_point_data_matches_the_fraction_reference(weights):
+    g = _grid_around_origin(*weights)
+    data = six_point_data(g, (0, 0))
+    assert (data.a1, data.a2, data.p, data.q, data.ok) == _six_point_by_fractions(g, (0, 0))
+
+
+def test_six_point_data_fixed_weights_match_the_fraction_reference():
+    big = F(1, 2**6000)
+    cases = [
+        # a1 = 0, a2 = 0 and p = q: the zero matrix
+        ((F(1, 2),) * 3, (F(1, 3),) * 3),
+        # decreasing alpha: a1 < 0 fails
+        ((F(1, 2), F(1, 3), F(1, 2)), (F(1, 3), F(1, 3), F(1, 2))),
+        # the boundary a1*a2 = (sqrt(p) - sqrt(q))**2 holds: p = 1, q = 1/4
+        ((F(1, 4), F(3, 4), F(1)), (F(1), F(1), F(3, 2))),
+        # just past the boundary: a2 = 1/2 - 1/1000
+        ((F(1, 4), F(3, 4), F(1)), (F(1), F(1), F(3, 2) - F(1, 1000))),
+        # figure5-sized seeds
+        ((big, 2 * big, big), (F(1), F(1, 2), 4 * big)),
+    ]
+    verdicts = []
+    for alpha, beta in cases:
+        g = _grid_around_origin(alpha, beta)
+        data = six_point_data(g, (0, 0))
+        assert (data.a1, data.a2, data.p, data.q, data.ok) == _six_point_by_fractions(g, (0, 0))
+        verdicts.append(data.ok)
+    assert verdicts[:4] == [True, False, True, False]
+
+
+def test_six_point_kernel_reads_integers_only(monkeypatch):
+    # the scan's radical test sees cleared numerators, never a Fraction
+    import shiftlab.shift2d as shift2d
+
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        return psd2_radical_cross(*args)
+
+    monkeypatch.setattr(shift2d, "psd2_radical_cross", spy)
+    for g in (build_figure9(F(1, 2)), build_figure5(3, F(1, 4))[0]):
+        joint_hyponormal_window(g, 6, 5)
+    assert seen and all(type(v) is int for args in seen for v in args)
+
+
+def test_six_point_data_equality_reads_the_entries():
+    # equal entries from different weights compare equal, as the entries did
+    g1 = _grid_around_origin((F(1), F(2), F(1)), (F(1), F(1), F(2)))
+    g2 = _grid_around_origin((F(2), F(3), F(1, 2)), (F(1, 2), F(2), F(3, 2)))
+    d1, d2 = six_point_data(g1, (0, 0)), six_point_data(g2, (0, 0))
+    assert (d1.a1, d1.a2, d1.p, d1.q) == (d2.a1, d2.a2, d2.p, d2.q) == (F(1), F(1), F(1), F(1))
+    assert d1 == d2 and hash(d1) == hash(d2)
+    assert d1 != six_point_data(build_figure9(F(1, 3)), (0, 0))
 
 
 def test_both_moment_paths_reject_negative_indices():
@@ -368,6 +480,14 @@ def test_figure5_validation():
         build_figure5(2, F(1))
     with pytest.raises(GridError):
         build_figure5(2, F(1, 4), F(0))
+
+
+def test_figure5_too_deep_to_print_is_a_grid_error():
+    grid, _ = build_figure5(30, F(1, 4))
+    assert grid.to_json_obj()["beta0_sq"].startswith("1/")
+    for k2 in (31, 40):
+        with pytest.raises(GridError, match=f"k2 = {k2} is too deep"):
+            build_figure5(k2, F(1, 4))
 
 
 def test_window_report_json_shape():
