@@ -64,10 +64,14 @@ def _load_json(path: str) -> object:
             text = handle.read()
     except OSError as exc:
         raise CliInputError(f"{path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise CliInputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except ValueError:  # the only other failure: Python's int-to-string digit limit
+        raise CliInputError(f"{path}: an integer has more than {sys.get_int_max_str_digits()} digits")
 
 
 def _emit(args, doc: dict, human: list[str]) -> None:

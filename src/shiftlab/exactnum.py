@@ -29,6 +29,7 @@ Polynomials are plain lists of Fractions in ascending degree order,
 
 from __future__ import annotations
 
+import sys
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 from math import comb
@@ -59,10 +60,13 @@ def parse_rational(text: str) -> Fraction:
     if not parts or any(not part.strip() for part in parts):
         raise ExactInputError(f"malformed rational: {text!r}")
     for part in parts:
+        part = part.strip()
         try:
-            total += Fraction(part.strip())
+            if "e" in part.lower():  # Fraction would expand "1e-10000000" in full
+                raise ValueError(part)
+            total += Fraction(part)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ExactInputError(f"malformed rational: {part.strip()!r}") from exc
+            raise ExactInputError(f"malformed rational: {part!r}") from exc
     return total
 
 
@@ -91,14 +95,19 @@ def parse_list_field(value: object, where: str, error: type[ValueError]) -> list
 
 
 def format_rational(q: Fraction) -> str:
-    """Render a Fraction as "num/den", omitting "/1" for integers.
+    """Render a Fraction as "num/den", omitting "/1" for integers; past
+    Python's int-to-string digit limit, an ExactInputError.
 
     >>> format_rational(Fraction(7, 3240))
     '7/3240'
     >>> format_rational(Fraction(3))
     '3'
     """
-    return str(q)
+    try:
+        return str(q)
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise ExactInputError(f"a result has more than {limit} digits: too long to print") from exc
 
 
 def decimal_string(q: Fraction, digits: int = 12) -> str:

@@ -7,12 +7,12 @@ the library needs: moments, 1/t-norms, restriction to higher moments,
 extremal reweighting, marginals, ordering, and the two backward-extension
 constructions.  All data are rational and all answers exact.
 
-Canonical form is computed on construction: atoms merged by point, segments
-split at the global breakpoint set, equal adjacent pieces re-merged, zero
-components dropped.  Construction fails if any canonical component is
-negative, which is how signed expressions like "xi minus a rescaled
-marginal" are adjudicated: the subtraction either canonicalizes to a genuine
-measure or raises NegativePartError.
+`make1d` is the one canonicalizer, for raw data and sums: atoms merged by
+point, segments split at the global breakpoint set, equal adjacent pieces
+re-merged, zero components dropped; a negative component raises
+NegativePartError, which is how "xi minus a rescaled marginal" is adjudicated.
+Every other operation (scaling, restriction, division by t) keeps pieces
+nonnegative and distinct, so it builds its canonical result directly.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .exactnum import (
     parse_list_field,
     parse_rational_field,
     poly_add,
-    poly_eval,
     poly_nonneg_on_interval,
     poly_scale,
     poly_shift_up,
@@ -45,6 +44,10 @@ class NegativePartError(MeasureError):
 
 class UnsupportedDensityError(MeasureError):
     """The result would leave the atoms+polynomial class (log moments)."""
+
+
+class _DivergentError(MeasureError):
+    """Dividing by t diverges: the measure charges t = 0."""
 
 
 class _InfiniteNorm:
@@ -79,7 +82,8 @@ class Segment:
 
 @dataclass(frozen=True)
 class Measure1D:
-    """Canonical nonnegative measure; construct through :func:`make1d`."""
+    """Canonical nonnegative measure (see the module docstring); build raw
+    data and sums through :func:`make1d`."""
 
     atoms: tuple[tuple[Fraction, Fraction], ...]
     segments: tuple[Segment, ...]
@@ -112,29 +116,12 @@ class Measure1D:
     # -- 1/t calculus
 
     def inv_t_norm(self) -> NormValue:
-        """Integral of 1/t, or INFINITE when mass touches t = 0.
-
-        An atom at 0 or a segment starting at 0 whose density has nonzero
-        constant term makes the integral diverge.  A density with nonzero
-        constant term on a segment with lo > 0 would integrate to a
-        logarithm, which this class cannot represent.
-        """
-        total = Fraction(0)
-        for x, m in self.atoms:
-            if x == 0:
-                return INFINITE
-            total += m / x
-        for seg in self.segments:
-            coeffs = list(seg.coeffs)
-            if coeffs[0] != 0:
-                if seg.lo == 0:
-                    return INFINITE
-                raise UnsupportedDensityError(
-                    "1/t integral of a density with nonzero constant term on "
-                    f"[{seg.lo}, {seg.hi}] is logarithmic; not representable"
-                )
-            total += _segment_integral(coeffs[1:], seg.lo, seg.hi)
-        return total
+        """Integral of 1/t: the mass of (1/t) dmu (:func:`_divide_by_t`), or
+        INFINITE when that division diverges."""
+        try:
+            return _divide_by_t(self).total_mass()
+        except _DivergentError:
+            return INFINITE
 
     # -- transforms
 
@@ -151,7 +138,8 @@ class Measure1D:
     def restriction(self, h: int) -> "Measure1D":
         """The renormalized h-th moment reweighting (1/gamma_h) t**h dmu.
 
-        Atoms at 0 are annihilated; gamma_h = moment(h) must be positive.
+        Atoms at 0 are annihilated and t**h / gamma_h > 0 elsewhere, so the
+        pieces stay canonical; gamma_h = moment(h) must be positive.
         """
         if h < 1:
             raise MeasureError(f"restriction order must be >= 1, got {h}")
@@ -160,12 +148,9 @@ class Measure1D:
         gamma_h = self.moment(h)
         if gamma_h == 0:
             raise MeasureError("measure concentrated at 0: degenerate restriction")
-        atoms = [(x, m * x**h / gamma_h) for x, m in self.atoms if x != 0]
-        segments = [
-            (poly_scale(poly_shift_up(list(s.coeffs), h), 1 / gamma_h), s.lo, s.hi)
-            for s in self.segments
-        ]
-        return make1d(atoms, segments)
+        atoms = tuple((x, m * x**h) for x, m in self.atoms if x != 0)
+        segments = tuple(Segment(tuple(poly_shift_up(list(s.coeffs), h)), s.lo, s.hi) for s in self.segments)
+        return Measure1D(atoms, segments).scale(1 / gamma_h)
 
     def to_json_obj(self) -> dict:
         return {
@@ -194,7 +179,8 @@ RawSegment = tuple[Iterable[Fraction], Fraction, Fraction]
 
 
 def make1d(atoms: Iterable[RawAtom] = (), segments: Iterable[RawSegment] = ()) -> Measure1D:
-    """Canonicalize raw atom/segment data into a nonnegative Measure1D.
+    """Canonicalize raw atom/segment data into a nonnegative Measure1D; the
+    one canonicalizer, for raw data and sums.
 
     Accepts signed intermediate masses and densities (so differences can be
     expressed as concatenated positive and negated parts) but raises
@@ -269,7 +255,11 @@ def lebesgue(lo: Fraction = Fraction(0), hi: Fraction = Fraction(1)) -> Measure1
 
 
 def combine1d(terms: Iterable[tuple[Fraction, Measure1D]]) -> Measure1D:
-    """Nonnegative linear combination sum(c_i * mu_i)."""
+    """The linear combination sum(c_i * mu_i), canonicalized; the c_i may be
+    negative, but NegativePartError unless the sum is a measure."""
+    terms = list(terms)
+    if len(terms) == 1 and terms[0][0] >= 0:
+        return terms[0][1].scale(terms[0][0])  # already canonical
     atoms: list[RawAtom] = []
     segments: list[RawSegment] = []
     for c, mu in terms:
@@ -293,24 +283,21 @@ def measure_leq(mu: Measure1D, nu: Measure1D) -> bool:
 
 
 def _divide_by_t(mu: Measure1D) -> Measure1D:
-    """The measure (1/t) dmu for a measure with no mass at 0."""
-    atoms = []
-    for x, m in mu.atoms:
-        if x == 0:
-            raise MeasureError("cannot divide an atom at 0 by t")
-        atoms.append((x, m / x))
+    """The measure (1/t) dmu, the one statement of the 1/t rule.  Mass at
+    t = 0 diverges; a nonzero constant term away from 0 gives a logarithm."""
+    if any(x == 0 for x, _ in mu.atoms):
+        raise _DivergentError("cannot divide an atom at 0 by t")
     segments = []
     for seg in mu.segments:
-        coeffs = list(seg.coeffs)
-        if coeffs[0] != 0:
+        if seg.coeffs[0] != 0:
             if seg.lo == 0:
-                raise MeasureError("divergent division by t at 0")
+                raise _DivergentError("divergent division by t at 0")
             raise UnsupportedDensityError(
                 "dividing a density with nonzero constant term by t yields "
                 "a logarithmic moment measure; not representable"
             )
-        segments.append((coeffs[1:], seg.lo, seg.hi))
-    return make1d(atoms, segments)
+        segments.append(Segment(seg.coeffs[1:], seg.lo, seg.hi))
+    return Measure1D(tuple((x, m / x) for x, m in mu.atoms), tuple(segments))
 
 
 def measure1d_from_json(obj: object, where: str = "measure") -> Measure1D:
@@ -422,18 +409,10 @@ def make2d(terms: Iterable[tuple[Fraction, Measure1D, Measure1D]]) -> Measure2D:
     for coeff, s_part, t_part in terms:
         if coeff < 0:
             raise NegativePartError(f"negative product-term coefficient {coeff}")
-        if coeff == 0:
+        if coeff == 0 or t_part == ZERO_1D:
             continue
-        t_mass = t_part.total_mass()
-        if t_mass == 0:
-            continue
-        t_unit = t_part.scale(1 / t_mass)
         for key, s_mass, s_piece in _s_components(s_part):
-            weight = coeff * s_mass * t_mass
-            if weight == 0:
-                continue
-            slot = grouped.setdefault(key, (s_piece, []))
-            slot[1].append((weight, t_unit))
+            grouped.setdefault(key, (s_piece, []))[1].append((coeff * s_mass, t_part))
     canon = []
     for key in sorted(grouped):
         s_piece, contribs = grouped[key]
@@ -457,14 +436,8 @@ def extremal(mu: Measure2D) -> Measure2D:
         raise MeasureError("extremal measure undefined: 1/t norm diverges")
     if norm == 0:
         raise MeasureError("extremal measure undefined: no mass off t = 0")
-    terms = []
-    for term in mu.terms:
-        stripped = make1d(
-            [(x, m) for x, m in term.t_part.atoms if x != 0],
-            [(list(s.coeffs), s.lo, s.hi) for s in term.t_part.segments],
-        )
-        terms.append((term.coeff / norm, term.s_part, _divide_by_t(stripped)))
-    return make2d(terms)
+    # a finite norm leaves no t-mass at 0, so each t-factor divides as it is
+    return make2d([(term.coeff / norm, term.s_part, _divide_by_t(term.t_part)) for term in mu.terms])
 
 
 def marginal_x(mu: Measure2D) -> Measure1D:
@@ -548,11 +521,11 @@ def backward_ext_2var(mu_m: Measure2D, xi: Measure1D, beta00_sq: Fraction) -> Ex
     if beta00_sq * norm > 1:
         return ExtensionResult(False, "ii", None, norm)
     ext = extremal(mu_m)
-    scaled_marginal = ext.marginal_x().scale(beta00_sq * norm)
+    share = beta00_sq * norm
     try:
-        remainder = measure_sub(xi, scaled_marginal)
+        remainder = combine1d([(Fraction(1), xi)] + [(-share * t.coeff, t.s_part) for t in ext.terms])
     except NegativePartError:
         return ExtensionResult(False, "iii", None, norm)
-    terms = [(beta00_sq * norm * t.coeff, t.s_part, t.t_part) for t in ext.terms]
+    terms = [(share * t.coeff, t.s_part, t.t_part) for t in ext.terms]
     terms.append((Fraction(1), remainder, delta(Fraction(0))))
     return ExtensionResult(True, None, make2d(terms), norm)

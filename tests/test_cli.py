@@ -624,3 +624,163 @@ def test_restricted_column_measure_charging_zero_is_bad_input(tmp_path, capsys):
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "eta1" in err
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["human", "json"])
+@pytest.mark.parametrize(
+    ("command", "spec", "window"),
+    [
+        ("moments", {"prefix_sq": [], "tail": {"kind": "constant", "value": "96/97"}}, ["2500"]),
+        ("sixpoint", {"model": "figure5", "k2": 13, "alpha0_sq": "1/4"}, ["30", "20"]),
+    ],
+    ids=["moments", "sixpoint"],
+)
+def test_unprintable_results_are_input_errors(tmp_path, capsys, command, spec, window, mode):
+    # a rational of the report passes Python's int-to-string digit limit
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, out, err = run(capsys, [command, str(path), "--window", *window, *mode])
+    assert code == 2 and out == ""
+    assert err == f"error: a result has more than {sys.get_int_max_str_digits()} digits: too long to print\n"
+
+
+def test_json_integer_past_the_digit_limit_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"prefix_sq": [' + "9" * 5000 + '], "tail": {"kind": "none"}}', encoding="utf-8")
+    code, out, err = run(capsys, ["moments", str(path)])
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: an integer has more than {sys.get_int_max_str_digits()} digits\n"
+
+
+def test_spec_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"model": "figure9", "y_sq": "\xff"}')
+    code, out, err = run(capsys, ["joint", str(path), "--window", "2", "2"])
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: not UTF-8 text (invalid start byte at byte 30)\n"
+
+
+def test_exponent_notation_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"model": "figure9", "y_sq": "1e-10000000"}), encoding="utf-8")
+    code, out, err = run(capsys, ["joint", str(path), "--window", "3", "3"])
+    assert code == 2 and out == ""
+    assert err == f"error: {path}.y_sq: malformed rational: '1e-10000000'\n"
+
+
+# ---------------------------------------------------------------------------
+# arbitrary JSON on every spec subcommand
+
+_SPEC_KEYS = [
+    "prefix_sq", "tail", "kind", "value", "model", "k2", "alpha0_sq", "beta0_sq", "y_sq", "x_row",
+    "alpha_sq", "beta_sq", "xi", "eta", "eta1", "a_sq", "y0_sq", "atoms", "segments", "coeffs", "lo", "hi",
+]
+_SPEC_WORDS = [
+    "constant", "bergman_like", "alpha_family", "beta_r_family", "none",
+    "explicit", "figure9", "figure5", "totally_flat", "sfc",
+    "0", "1", "1/2", "1/3", "3/4", "-1/3", "1/6+1/100", "2",
+    "", "abc", "1/0", "1//2", "1e3", "0.5", " 1/4 ", "+",
+]
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=40)
+    | st.sampled_from(_SPEC_WORDS)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(_SPEC_KEYS), inner, max_size=5),
+    max_leaves=12,
+)
+
+
+def _pick(*strategies):
+    """One of the strategies, each as likely (st.one_of merges equal ones)."""
+    return st.sampled_from(strategies).flatmap(lambda strategy: strategy)
+
+
+def _mostly(good):
+    """The well-formed shape four times in five, otherwise any JSON value."""
+    return _pick(good, good, good, good, _json_values)
+
+
+_rat = _mostly(st.sampled_from(["1", "1/2", "1/3", "3/4", "2", "1/6+1/100"]) | st.integers(1, 3))
+_rat_rows = _mostly(st.lists(_mostly(st.lists(_rat, min_size=1, max_size=3)), min_size=1, max_size=3))
+_tail_doc = st.one_of(
+    st.fixed_dictionaries({"kind": _mostly(st.sampled_from(["constant", "beta_r_family"])), "value": _rat}),
+    st.fixed_dictionaries({"kind": _mostly(st.just("bergman_like")), "value": _mostly(st.integers(1, 4))}),
+    st.fixed_dictionaries({"kind": _mostly(st.sampled_from(["alpha_family", "none"]))}, optional={"value": _rat}),
+)
+_weights_doc = st.fixed_dictionaries({"prefix_sq": _mostly(st.lists(_rat, max_size=3)), "tail": _mostly(_tail_doc)})
+_PROBABILITY_MEASURES = [
+    {"atoms": [["0", "1/3"], ["1/2", "1/3"], ["1", "1/3"]]},
+    {"atoms": [["0", "1/2"], ["1", "1/2"]]},
+    {"atoms": [["1", "1"]]},
+    {"atoms": [["1", "1/2"]], "segments": [{"coeffs": ["0", "1"], "lo": "0", "hi": "1"}]},
+    {"atoms": [["1", "1/2"]], "segments": [{"coeffs": ["1"], "lo": "0", "hi": "1/2"}]},
+    {"segments": [{"coeffs": ["1"], "lo": "0", "hi": "1"}]},
+]
+_measure_doc = _pick(
+    st.sampled_from(_PROBABILITY_MEASURES),
+    st.sampled_from(_PROBABILITY_MEASURES),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "atoms": _mostly(st.lists(_mostly(st.tuples(_rat, _rat).map(list)), max_size=3)),
+            "segments": _mostly(
+                st.lists(
+                    _mostly(st.fixed_dictionaries({"coeffs": _mostly(st.lists(_rat, max_size=3)), "lo": _rat, "hi": _rat})),
+                    max_size=2,
+                )
+            ),
+        },
+    ),
+)
+_grid_doc = _pick(
+    st.fixed_dictionaries({"model": _mostly(st.just("figure9")), "y_sq": _rat}),
+    st.fixed_dictionaries(
+        {"model": _mostly(st.just("figure5")), "k2": _mostly(st.integers(1, 8)), "alpha0_sq": _rat},
+        optional={"beta0_sq": _rat},
+    ),
+    st.fixed_dictionaries({"model": _mostly(st.just("totally_flat")), "x_row": _mostly(_weights_doc), "y_sq": _rat}),
+    st.fixed_dictionaries({"model": _mostly(st.just("explicit")), "alpha_sq": _rat_rows, "beta_sq": _rat_rows}),
+    st.sampled_from(["eta", "eta1"]).flatmap(
+        lambda column: st.fixed_dictionaries(
+            {
+                "model": _mostly(st.just("sfc")),
+                "xi": _mostly(_measure_doc),
+                column: _mostly(_measure_doc),
+                "a_sq": _rat,
+                "y0_sq": _rat,
+            }
+        )
+    ),
+)
+_SPEC_COMMANDS = [
+    ["moments", "--window", "4"],
+    ["check-hypo", "--window", "4"],
+    ["check-khypo", "--k", "2", "--window", "4"],
+    ["sixpoint", "--window", "3", "2"],
+    ["joint", "--window", "3", "2"],
+    ["classify-sfc"],
+]
+
+
+@given(doc=_pick(_weights_doc, _grid_doc, _json_values))
+@settings(max_examples=40, deadline=None)
+def test_arbitrary_json_never_crashes_a_spec_subcommand(doc):
+    # well-formed shapes with bad values mixed in at every level, so that
+    # some documents reach every parser and every check
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        for command in _SPEC_COMMANDS:
+            for mode in ([], ["--json"]):
+                argv = [command[0], path, *command[1:], *mode]
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 1, 2), (argv, doc, err.getvalue())
+                assert "Traceback" not in err.getvalue()
+                if code == 2:
+                    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+                    assert out.getvalue() == ""

@@ -1,6 +1,7 @@
 """Rational parsing, exact linear algebra, and the polynomial sign engine."""
 
 import doctest
+import sys
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from itertools import combinations
@@ -49,10 +50,22 @@ def test_parse_rational_accepts_sums_and_signs():
     assert parse_rational(" 2/3 ") == Fraction(2, 3)
 
 
-@pytest.mark.parametrize("bad", ["", "1/0", "abc", "1//2", "1/2+", "+"])
+@pytest.mark.parametrize("bad", ["", "1/0", "abc", "1//2", "1/2+", "+", "1e3", "1e-999999999"])
 def test_parse_rational_rejects_garbage(bad):
+    # exponents are refused before Fraction would expand them
     with pytest.raises(ExactInputError):
         parse_rational(bad)
+
+
+def test_format_rational_past_the_digit_limit_is_an_input_error():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ExactInputError, match="^a result has more than 4300 digits: too long to print$"):
+            format_rational(Fraction(1, 10**4300))
+        assert format_rational(Fraction(1, 10**4299)) == "1/1" + "0" * 4299
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class _FieldError(ValueError):

@@ -7,14 +7,20 @@ assertions were written; every rational here is exact.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from shiftlab.exactnum import poly_scale, poly_shift_up
 from shiftlab.measures import (
     INFINITE,
+    Measure2D,
     MeasureError,
     NegativePartError,
+    ProductTerm,
     UnsupportedDensityError,
+    _divide_by_t,
+    _s_components,
+    _segment_integral,
     backward_ext_1var,
     backward_ext_2var,
     combine1d,
@@ -367,3 +373,259 @@ def test_total_mass_is_sum_of_parts(masses):
     points = [F(i, len(masses)) for i in range(len(masses))]
     mu = make1d(list(zip(points, masses)))
     assert mu.total_mass() == sum(masses)
+
+
+# ---------------------------------------------------------------------------
+# direct constructions against canonicalizing references
+#
+# The references are the earlier routines: the 1/t norm as a direct sum, and
+# restriction, division by t, combination, make2d and extremal each passing
+# its result through make1d again.  The library builds those results
+# canonical by construction; both must give equal measures, errors and norms.
+
+
+def _raw(mu):
+    return [(x, m) for x, m in mu.atoms], [(list(s.coeffs), s.lo, s.hi) for s in mu.segments]
+
+
+def _ref_inv_t_norm(mu):
+    total = F(0)
+    for x, m in mu.atoms:
+        if x == 0:
+            return INFINITE
+        total += m / x
+    for seg in mu.segments:
+        coeffs = list(seg.coeffs)
+        if coeffs[0] != 0:
+            if seg.lo == 0:
+                return INFINITE
+            raise UnsupportedDensityError("logarithmic 1/t integral")
+        total += _segment_integral(coeffs[1:], seg.lo, seg.hi)
+    return total
+
+
+def _ref_divide_by_t(mu):
+    atoms = []
+    for x, m in mu.atoms:
+        if x == 0:
+            raise MeasureError("cannot divide an atom at 0 by t")
+        atoms.append((x, m / x))
+    segments = []
+    for seg in mu.segments:
+        coeffs = list(seg.coeffs)
+        if coeffs[0] != 0:
+            if seg.lo == 0:
+                raise MeasureError("divergent division by t at 0")
+            raise UnsupportedDensityError(
+                "dividing a density with nonzero constant term by t yields "
+                "a logarithmic moment measure; not representable"
+            )
+        segments.append((coeffs[1:], seg.lo, seg.hi))
+    return make1d(atoms, segments)
+
+
+def _ref_restriction(mu, h):
+    if not mu.is_probability():
+        raise MeasureError("restriction needs a probability measure")
+    gamma_h = mu.moment(h)
+    if gamma_h == 0:
+        raise MeasureError("measure concentrated at 0: degenerate restriction")
+    atoms = [(x, m * x**h / gamma_h) for x, m in mu.atoms if x != 0]
+    segments = [(poly_scale(poly_shift_up(list(s.coeffs), h), 1 / gamma_h), s.lo, s.hi) for s in mu.segments]
+    return make1d(atoms, segments)
+
+
+def _ref_combine1d(terms):
+    atoms, segments = [], []
+    for c, mu in terms:
+        atoms.extend((x, c * m) for x, m in mu.atoms)
+        segments.extend((poly_scale(list(s.coeffs), c), s.lo, s.hi) for s in mu.segments)
+    return make1d(atoms, segments)
+
+
+def _ref_make2d(terms):
+    grouped = {}
+    for coeff, s_part, t_part in terms:
+        t_mass = t_part.total_mass()
+        if coeff == 0 or t_mass == 0:
+            continue
+        t_unit = t_part.scale(1 / t_mass)
+        for key, s_mass, s_piece in _s_components(s_part):
+            grouped.setdefault(key, (s_piece, []))[1].append((coeff * s_mass * t_mass, t_unit))
+    canon = []
+    for key in sorted(grouped):
+        s_piece, contribs = grouped[key]
+        t_sum = _ref_combine1d(contribs)
+        mass = t_sum.total_mass()
+        if mass:
+            canon.append(ProductTerm(mass, s_piece, t_sum.scale(1 / mass)))
+    return Measure2D(tuple(canon))
+
+
+def _ref_extremal(mu):
+    norm = mu.inv_t_norm()
+    if norm is INFINITE:
+        raise MeasureError("extremal measure undefined: 1/t norm diverges")
+    if norm == 0:
+        raise MeasureError("extremal measure undefined: no mass off t = 0")
+    terms = []
+    for term in mu.terms:
+        stripped = make1d([(x, m) for x, m in term.t_part.atoms if x != 0], _raw(term.t_part)[1])
+        terms.append((term.coeff / norm, term.s_part, _ref_divide_by_t(stripped)))
+    return _ref_make2d(terms)
+
+
+def _ref_backward_ext_2var(mu_m, xi, beta00_sq):
+    norm = mu_m.inv_t_norm()
+    if norm is INFINITE or beta00_sq * norm > 1:
+        return None
+    ext = _ref_extremal(mu_m)
+    marginal = _ref_combine1d([(t.coeff, t.s_part) for t in ext.terms]).scale(beta00_sq * norm)
+    try:
+        remainder = _ref_combine1d([(F(1), xi), (F(-1), marginal)])
+    except NegativePartError:
+        return "iii"
+    terms = [(beta00_sq * norm * t.coeff, t.s_part, t.t_part) for t in ext.terms]
+    return _ref_make2d(terms + [(F(1), remainder, delta(F(0)))])
+
+
+def _outcome(fn, *args):
+    """The result, or the error's kind and text; a private subclass of
+    MeasureError counts as MeasureError."""
+    try:
+        return fn(*args)
+    except MeasureError as exc:
+        kind = next(k for k in (UnsupportedDensityError, NegativePartError, MeasureError) if isinstance(exc, k))
+        return kind, str(exc)
+
+
+def _assert_canonical(mu):
+    assert make1d(*_raw(mu)) == mu
+
+
+_POINTS = [F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1)]
+_small = st.fractions(min_value=0, max_value=2, max_denominator=4)
+
+
+@st.composite
+def _density_on_unit(draw):
+    """A density nonnegative on [0, 1]: its constant term is zero or not,
+    and some vanish to second order inside."""
+    kind = draw(st.sampled_from(["plain", "from_zero", "square"]))
+    if kind == "square":
+        # c (t - r)**2 (1 + s t), s >= 0: constant term c r**2
+        r = draw(st.sampled_from(_POINTS))
+        c = draw(st.fractions(min_value=F(1, 4), max_value=2, max_denominator=4))
+        s = draw(_small)
+        return [c * r * r, c * (-2 * r + r * r * s), c * (1 - 2 * r * s), c * s]
+    coeffs = draw(st.lists(_small, min_size=1, max_size=3))
+    return [F(0)] + coeffs if kind == "from_zero" else coeffs
+
+
+@st.composite
+def canonical_measures(draw, probability=False):
+    """Atoms at 0, at 1 and inside; pieces from 0 and away from it, with
+    gaps between pieces and equal densities on adjacent ones."""
+    atoms = draw(
+        st.lists(
+            st.tuples(st.sampled_from(_POINTS), st.fractions(min_value=F(1, 8), max_value=2, max_denominator=8)),
+            max_size=3,
+        )
+    )
+    edges = sorted(set(draw(st.lists(st.sampled_from(_POINTS), min_size=2, max_size=5))))
+    segments, poly = [], None
+    for lo, hi in zip(edges, edges[1:]):
+        if draw(st.booleans()):
+            continue
+        if poly is None or draw(st.booleans()):
+            poly = draw(_density_on_unit())
+        segments.append((poly, lo, hi))
+    mu = make1d(atoms, segments)
+    if probability:
+        assume(mu.total_mass() > 0)
+        mu = mu.scale(1 / mu.total_mass())
+    return mu
+
+
+@st.composite
+def _product_terms(draw):
+    return draw(
+        st.lists(
+            st.tuples(st.sampled_from([F(0), F(1, 3), F(1), F(5, 2)]), canonical_measures(), canonical_measures()),
+            min_size=1,
+            max_size=3,
+        )
+    )
+
+
+@given(mu=canonical_measures())
+@settings(max_examples=150, deadline=None)
+def test_one_variable_results_equal_the_canonicalizing_references(mu):
+    ref_norm, norm = _outcome(_ref_inv_t_norm, mu), _outcome(mu.inv_t_norm)
+    if isinstance(ref_norm, tuple):  # the text now comes from _divide_by_t
+        assert isinstance(norm, tuple) and norm[0] is ref_norm[0] is UnsupportedDensityError
+    else:
+        assert norm == ref_norm
+    divided = _outcome(_divide_by_t, mu)
+    assert divided == _outcome(_ref_divide_by_t, mu)
+    if not isinstance(divided, tuple):
+        _assert_canonical(divided)
+        assert divided.total_mass() == norm
+    for c in (F(0), F(1, 3), F(2)):
+        assert combine1d([(c, mu)]) == _ref_combine1d([(c, mu)])
+    if mu.total_mass() > 0:
+        unit = mu.scale(1 / mu.total_mass())
+        for h in (1, 2, 3):
+            restricted = _outcome(unit.restriction, h)
+            assert restricted == _outcome(_ref_restriction, unit, h)
+            if not isinstance(restricted, tuple):
+                _assert_canonical(restricted)
+
+
+@given(terms=_product_terms())
+@settings(max_examples=60, deadline=None)
+def test_two_variable_results_equal_the_canonicalizing_references(terms):
+    mu = make2d(terms)
+    assert mu == _ref_make2d(terms)
+    for term in mu.terms:
+        _assert_canonical(term.t_part)
+    ext = _outcome(extremal, mu)
+    assert ext == _outcome(_ref_extremal, mu)
+    if not isinstance(ext, tuple):
+        for term in ext.terms:
+            _assert_canonical(term.t_part)
+
+
+@given(
+    terms=_product_terms(),
+    nu=canonical_measures(probability=True),
+    share=st.sampled_from([F(1, 2), F(1)]),
+    excess=st.sampled_from([F(1, 2), F(1), F(3, 2)]),
+)
+@settings(max_examples=60, deadline=None)
+def test_backward_ext_2var_equals_the_two_step_reference(terms, nu, share, excess):
+    # xi = share * (extremal marginal) + (1 - share) * nu and a weight
+    # excess * share / N reach all three verdicts, the boundary included
+    mass = make2d(terms).total_mass()
+    assume(mass > 0)
+    mu_m = make2d([(c / mass, s, t) for c, s, t in terms])
+    try:
+        ext = extremal(mu_m)
+    except MeasureError:
+        xi, beta00_sq = nu, F(1, 2)
+    else:
+        xi = combine1d([(share, marginal_x(ext)), (1 - share, nu)])
+        beta00_sq = excess * share / mu_m.inv_t_norm()
+    try:
+        expected = _ref_backward_ext_2var(mu_m, xi, beta00_sq)
+    except UnsupportedDensityError:
+        with pytest.raises(UnsupportedDensityError):
+            backward_ext_2var(mu_m, xi, beta00_sq)
+        return
+    result = backward_ext_2var(mu_m, xi, beta00_sq)
+    if expected is None:
+        assert result.failed in ("i", "ii")
+    elif expected == "iii":
+        assert result.failed == "iii"
+    else:
+        assert result.ok and result.measure == expected
