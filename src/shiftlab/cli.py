@@ -3,7 +3,10 @@
 Subcommands take JSON spec files (rationals as "num/den" strings), run the
 exact machinery, and emit either a human-readable report or, with --json, a
 deterministic JSON document: sorted keys, two-space indent, no volatile
-fields, so identical inputs give byte-identical output.
+fields, so identical inputs give byte-identical output.  Every subcommand
+writes its document through the one canonical writer ``_canonical_json``,
+which gives the text of ``json.dumps(doc, indent=2, sort_keys=True)``
+without the pure-Python encoder that ``indent`` selects.
 
 Exit codes: 0 when the requested property holds or a verdict was computed,
 1 when a checked property fails (the witness is in the report), 2 for input
@@ -24,6 +27,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .exactnum import ExactInputError, decimal_string, format_rational, parse_rational
 from .measures import MeasureError
@@ -74,9 +78,43 @@ def _load_json(path: str) -> object:
         raise CliInputError(f"{path}: an integer has more than {sys.get_int_max_str_digits()} digits")
 
 
+def _canonical_json(value, newline: str = "\n", written: dict | None = None) -> str:
+    """The text of json.dumps(value, indent=2, sort_keys=True) for the types
+    reports hold: dicts with str keys, lists, tuples, str, int, bool, None.
+
+    ``newline`` is the line break plus the indent of the enclosing level.
+    ``written`` maps each container already written in this document, by
+    identity and indent, to its text, so a subtree held twice (the shared
+    cells of a sixpoint report) is written once."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    written = {} if written is None else written
+    key = (id(value), newline)
+    if key in written:
+        return written[key]
+    inner = newline + "  "
+    if isinstance(value, dict):
+        parts = [f"{encode_basestring_ascii(k)}: {_canonical_json(v, inner, written)}" for k, v in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        parts = [_canonical_json(v, inner, written) for v in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    text = brackets[0] + inner + ("," + inner).join(parts) + newline + brackets[1] if parts else brackets
+    written[key] = text
+    return text
+
+
 def _emit(args, doc: dict, human: list[str]) -> None:
     if getattr(args, "json", False):
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = _canonical_json(doc) + "\n"
     else:
         text = "\n".join(human) + "\n"
     _write_out(getattr(args, "out", None), text)
@@ -184,17 +222,18 @@ def _grid_from_path(path: str) -> ShiftGrid2D:
 def _cmd_sixpoint(args) -> int:
     digits = _digits()
     m, n = _window_2d(args)
-    entries = [
-        {
-            "k": list(k),
-            "a1": _rat_dec(data.a1, digits),
-            "a2": _rat_dec(data.a2, digits),
-            "p": _rat_dec(data.p, digits),
-            "q": _rat_dec(data.q, digits),
-            "ok": data.ok,
-        }
-        for k, data in six_point_scan(_grid_from_path(args.spec), m, n)
-    ]
+    cells: dict[tuple[int, int], dict] = {}  # unreduced (num, den) -> its cell
+
+    def cell(term: tuple[int, int]) -> dict:
+        found = cells.get(term)
+        if found is None:
+            found = cells[term] = _rat_dec(Fraction(*term), digits)
+        return found
+
+    entries = []
+    for k, data in six_point_scan(_grid_from_path(args.spec), m, n):
+        a1, a2, p, q = map(cell, data.terms)
+        entries.append({"k": list(k), "a1": a1, "a2": a2, "p": p, "q": q, "ok": data.ok})
     failures = [tuple(entry["k"]) for entry in entries if not entry["ok"]]
     verdict = not failures
     doc = {

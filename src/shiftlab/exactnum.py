@@ -29,6 +29,7 @@ Polynomials are plain lists of Fractions in ascending degree order,
 
 from __future__ import annotations
 
+import re
 import sys
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
@@ -45,8 +46,15 @@ class ExactInputError(ValueError):
 # rational parsing and rendering
 
 
+_RATIONAL_PART = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a rational written as "num/den", an integer, or a "+" sum.
+
+    Each "+"-separated part, stripped of surrounding whitespace, is
+    ``-?digits(/digits)?`` in ASCII digits; decimals, exponents, underscores
+    and any other form Fraction would accept are refused.
 
     >>> parse_rational("7/3240")
     Fraction(7, 3240)
@@ -62,7 +70,7 @@ def parse_rational(text: str) -> Fraction:
     for part in parts:
         part = part.strip()
         try:
-            if "e" in part.lower():  # Fraction would expand "1e-10000000" in full
+            if not _RATIONAL_PART.fullmatch(part):
                 raise ValueError(part)
             total += Fraction(part)
         except (ValueError, ZeroDivisionError) as exc:

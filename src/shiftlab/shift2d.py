@@ -20,6 +20,7 @@ first failing index wins as witness.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -181,35 +182,35 @@ def gamma2_up_first(g: ShiftGrid2D, k: Index) -> Fraction:
 
 @dataclass(frozen=True, eq=False)
 class SixPointData:
-    """The six-point test at one index k: the verdict ``ok`` and the six
-    squared weights it read, alpha_sq and beta_sq at k, k + e1 and k + e2.
+    """The six-point test at one index k: the verdict ``ok`` and the four
+    matrix entries as the unreduced (numerator, denominator) pairs ``terms``
+    that the test cleared, in the order a1, a2, p, q.
 
-    The matrix entries a1 = alpha_sq(k + e1) - alpha_sq(k),
-    a2 = beta_sq(k + e2) - beta_sq(k), p = alpha_sq(k + e2) * beta_sq(k + e1)
-    and q = alpha_sq(k) * beta_sq(k) are worked out on each read:
-    a scan needs only ``ok``, and only reports print the entries.  Two
-    results are equal when their (a1, a2, p, q, ok) are.
+    a1 = alpha_sq(k + e1) - alpha_sq(k), a2 = beta_sq(k + e2) - beta_sq(k),
+    p = alpha_sq(k + e2) * beta_sq(k + e1) and q = alpha_sq(k) * beta_sq(k)
+    are reduced to Fractions on each read: a scan needs only ``ok``, and a
+    report can render each distinct term once.  Two results are equal when
+    their reduced (a1, a2, p, q, ok) are.
     """
 
-    _alpha: tuple[Fraction, Fraction, Fraction]
-    _beta: tuple[Fraction, Fraction, Fraction]
+    terms: tuple[tuple[int, int], tuple[int, int], tuple[int, int], tuple[int, int]]
     ok: bool
 
     @property
     def a1(self) -> Fraction:
-        return self._alpha[1] - self._alpha[0]
+        return Fraction(*self.terms[0])
 
     @property
     def a2(self) -> Fraction:
-        return self._beta[2] - self._beta[0]
+        return Fraction(*self.terms[1])
 
     @property
     def p(self) -> Fraction:
-        return self._alpha[2] * self._beta[1]
+        return Fraction(*self.terms[2])
 
     @property
     def q(self) -> Fraction:
-        return self._alpha[0] * self._beta[0]
+        return Fraction(*self.terms[3])
 
     def _entries(self) -> tuple:
         return self.a1, self.a2, self.p, self.q, self.ok
@@ -228,8 +229,8 @@ def six_point_data(g: ShiftGrid2D, k: Index) -> SixPointData:
     reducing, the radical test is unchanged by scaling a1 by d1, a2 by
     d2*pd*qd and p, q by d1*d2*pd*qd, so it runs on integers only."""
     k1, k2 = k
-    alpha = a, a_right, a_up = g.alpha_sq(k1, k2), g.alpha_sq(k1 + 1, k2), g.alpha_sq(k1, k2 + 1)
-    beta = b, b_right, b_up = g.beta_sq(k1, k2), g.beta_sq(k1 + 1, k2), g.beta_sq(k1, k2 + 1)
+    a, a_right, a_up = g.alpha_sq(k1, k2), g.alpha_sq(k1 + 1, k2), g.alpha_sq(k1, k2 + 1)
+    b, b_right, b_up = g.beta_sq(k1, k2), g.beta_sq(k1 + 1, k2), g.beta_sq(k1, k2 + 1)
     an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
     d1 = a_right.denominator * ad
     d2 = b_up.denominator * bd
@@ -237,11 +238,11 @@ def six_point_data(g: ShiftGrid2D, k: Index) -> SixPointData:
     qd = ad * bd
     n1 = a_right.numerator * ad - an * a_right.denominator
     n2 = b_up.numerator * bd - bn * b_up.denominator
+    pn = a_up.numerator * b_right.numerator
+    qn = an * bn
     scale = d1 * d2
-    ok = psd2_radical_cross(
-        n1, n2 * pd * qd, a_up.numerator * b_right.numerator * scale * qd, an * bn * scale * pd
-    )
-    return SixPointData(alpha, beta, ok)
+    ok = psd2_radical_cross(n1, n2 * pd * qd, pn * scale * qd, qn * scale * pd)
+    return SixPointData(((n1, d1), (n2, d2), (pn, pd), (qn, qd)), ok)
 
 
 def six_point(g: ShiftGrid2D, k: Index) -> bool:
@@ -558,35 +559,47 @@ def figure5_g(m: int, ell_up: int = 3) -> Fraction:
     return (1 + (m + 2) * (m + 3) * (1 - y_m) ** 2 / y_m) / up.gamma(m)[m]
 
 
-def _figure5_seeds(chain: list[int], alpha0_sq: Fraction, beta0_sq: Fraction | None) -> list[Fraction]:
-    """Column seeds, bottom to top, indices 0..k2 for k2 = len(chain), the
-    ``bergman_chain(k2)`` of the levels: the top two are pinned to
-    1/alpha0_sq and 16/alpha0_sq; lower ones take the largest power of two
-    below every applicable bound, unless an explicit bottom seed is given."""
-    k2 = len(chain)
-    seeds: list[Fraction | None] = [None] * (k2 + 1)
-    seeds[k2] = 16 / alpha0_sq
-    seeds[k2 - 1] = 1 / alpha0_sq
+def _figure5_seeds(k2: int, alpha0_sq: Fraction, beta0_sq: Fraction | None) -> tuple[list[int], list[Fraction]]:
+    """The levels' parameters ``bergman_chain(k2)`` and their column seeds,
+    bottom to top, indices 0..k2: the top two are pinned to 1/alpha0_sq and
+    16/alpha0_sq; lower ones take the largest power of two below every
+    applicable bound, unless an explicit bottom seed is given.
+
+    The chain grows one parameter per seed, top down.  Those powers of two
+    never grow downward, so once one has more digits than Python will print
+    (told from bit lengths), the bottom seed will too: without an explicit
+    bottom seed the search stops there with the too-deep GridError."""
+    top_down = [16 / alpha0_sq]  # the seeds k2, k2 - 1, ..., 0
+    chain = bergman_chain(min(k2, 2))
     if k2 == 1:
         top = bergman_like(chain[0])
         x0, x1 = top.weight_sq(0), top.weight_sq(1)
-        beta1_sq = seeds[k2 - 1]
+        beta1_sq = 1 / alpha0_sq
         bound_a = beta1_sq * x0 / (x0 + 6 * (alpha0_sq - x0) ** 2)
         rhs1 = 1 + 12 * (1 - x1) ** 2 / x1
         bound_b = beta1_sq * x0 / (alpha0_sq * rhs1)
-        seeds[0] = beta0_sq if beta0_sq is not None else _largest_pow2_at_most(min(bound_a, bound_b))
+        top_down.append(beta0_sq if beta0_sq is not None else _largest_pow2_at_most(min(bound_a, bound_b)))
     else:
+        top_down.append(1 / alpha0_sq)
+        limit = sys.get_int_max_str_digits()  # 0: no limit
+        # a denominator of more bits than 10**limit has more than limit digits
+        printable_bits = (10**limit).bit_length() if limit and beta0_sq is None else None
         for n in range(k2 - 2, -1, -1):
-            ell_low = chain[k2 - 1 - n]
-            ell_up = chain[k2 - 2 - n]
-            bound = _pair_seed_bound(ell_low, ell_up, seeds[n + 1])
+            if n < k2 - 2:
+                chain.append(next_chain_param(chain[-2], chain[-1]))
+            ell_up, ell_low = chain[-2], chain[-1]
+            bound = _pair_seed_bound(ell_low, ell_up, top_down[-1])
             if n == k2 - 2:
                 bound = min(bound, _display_bound_top_pair(ell_low, ell_up), figure5_f(1, (ell_low, ell_up)))
-            if n == 0 and beta0_sq is not None:
-                seeds[n] = beta0_sq
-            else:
-                seeds[n] = _largest_pow2_at_most(bound)
-    return [Fraction(s) for s in seeds]
+            seed = beta0_sq if n == 0 and beta0_sq is not None else _largest_pow2_at_most(bound)
+            if printable_bits and seed.denominator.bit_length() > printable_bits:
+                raise _too_deep(k2)
+            top_down.append(seed)
+    return chain, [Fraction(s) for s in reversed(top_down)]
+
+
+def _too_deep(k2: int) -> GridError:
+    return GridError(f"k2 = {k2} is too deep: the bottom seed beta0_sq has too many digits to print")
 
 
 def build_figure5(
@@ -612,15 +625,13 @@ def build_figure5(
         beta0_sq = Fraction(beta0_sq)
         if beta0_sq <= 0:
             raise GridError(f"need beta0_sq > 0, got {beta0_sq}")
-    chain = bergman_chain(k2)
-    seeds = _figure5_seeds(chain, alpha0_sq, beta0_sq)
+    chain, seeds = _figure5_seeds(k2, alpha0_sq, beta0_sq)
     # bottom to top; index k2 is the flat top, repeated above
     levels = [bergman_like(ell) for ell in reversed(chain)] + [flat_shift(alpha0_sq)]
     try:
         beta0_text = format_rational(seeds[0])
     except ValueError as exc:  # Python's int-to-string digit limit
-        message = f"k2 = {k2} is too deep: the bottom seed beta0_sq has too many digits to print"
-        raise GridError(message) from exc
+        raise _too_deep(k2) from exc
     spec: dict = {
         "model": "figure5",
         "k2": k2,

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shiftlab
-from shiftlab.cli import build_parser, main
+from shiftlab.cli import _canonical_json, build_parser, main
 from shiftlab.exactnum import decimal_string, format_rational
 from shiftlab.measures import _segment_integral, combine1d, delta, lebesgue, make1d
 from shiftlab.sfc import example_family
@@ -469,9 +469,10 @@ def test_internal_error_exits_three_without_traceback(capsys, specs, monkeypatch
     assert err == "internal error: RuntimeError: broken subcommand\n"
 
 
-@pytest.mark.parametrize("k2", [31, 40])
+@pytest.mark.parametrize("k2", [31, 40, 400])
 def test_deep_figure5_is_an_input_error(tmp_path, capsys, k2):
-    # the bottom seed 2**-j passes Python's int-to-string digit limit
+    # the bottom seed 2**-j passes Python's int-to-string digit limit; at
+    # k2 = 400 the seed search stops as soon as a running seed passes it
     path = tmp_path / "deep.json"
     path.write_text(json.dumps({"model": "figure5", "k2": k2, "alpha0_sq": "1/4"}), encoding="utf-8")
     code, out, err = run(capsys, ["joint", str(path), "--window", "5", "5"])
@@ -784,3 +785,54 @@ def test_arbitrary_json_never_crashes_a_spec_subcommand(doc):
                 if code == 2:
                     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
                     assert out.getvalue() == ""
+
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**400), max_value=10**40),
+    st.text(),
+    st.sampled_from(["", "\"\\/\b\f\n\r\t\x00\x1f", "\u00e9\u2028\U0001f600", "1/3"]),
+)
+
+
+def _json_containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+        # the same subtree held more than once, at one depth and at others
+        children.map(lambda child: [child, child, {"again": child, "also": [child]}]),
+    )
+
+
+@given(st.recursive(_json_scalars, _json_containers, max_leaves=30))
+@settings(max_examples=300, deadline=None)
+def test_canonical_json_is_the_indented_sorted_dump(doc):
+    assert _canonical_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("bad", [0.5, {1}, {1: "x"}, [b"x"], {"k": Fraction(1, 2)}])
+def test_canonical_json_refuses_other_types(bad):
+    with pytest.raises(TypeError):
+        _canonical_json(bad)
+
+
+def test_sixpoint_report_renders_each_distinct_term_once(specs, capsys, monkeypatch):
+    import shiftlab.cli as cli
+    from shiftlab.shift2d import grid_from_json, six_point_scan
+
+    rendered = []
+
+    def counting(value, digits=12):
+        rendered.append(value)
+        return decimal_string(value, digits)
+
+    monkeypatch.setattr(cli, "decimal_string", counting)
+    code, out, _ = run(capsys, ["sixpoint", specs["fig9"], "--window", "6", "4", "--json"])
+    assert code == 0
+    with open(specs["fig9"], encoding="utf-8") as handle:
+        grid = grid_from_json(json.load(handle), specs["fig9"])
+    terms = {term for _, data in six_point_scan(grid, 6, 4) for term in data.terms}
+    assert len(rendered) == len(terms) < 4 * 7 * 5
+    assert len(json.loads(out)["entries"]) == 7 * 5

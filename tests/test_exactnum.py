@@ -50,10 +50,15 @@ def test_parse_rational_accepts_sums_and_signs():
     assert parse_rational(" 2/3 ") == Fraction(2, 3)
 
 
-@pytest.mark.parametrize("bad", ["", "1/0", "abc", "1//2", "1/2+", "+", "1e3", "1e-999999999"])
+@pytest.mark.parametrize(
+    "bad",
+    ["", "1/0", "abc", "1//2", "1/2+", "+", "1e3", "1e-999999999", "0.5", "1_000", "1_0/3", "\u0663", "1/-3"],
+)
 def test_parse_rational_rejects_garbage(bad):
-    # exponents are refused before Fraction would expand them
-    with pytest.raises(ExactInputError):
+    # only -?digits(/digits)? per part: exponents are refused before Fraction
+    # would expand them, and Fraction's decimals, underscores and non-ASCII
+    # digits are refused too
+    with pytest.raises(ExactInputError, match="^malformed rational: "):
         parse_rational(bad)
 
 

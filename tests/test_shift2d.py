@@ -15,6 +15,7 @@ from shiftlab.shift1d import WeightSeq, WeightTail, alpha_family, make_weights
 from shiftlab.shift2d import (
     GridError,
     ShiftGrid2D,
+    SixPointData,
     _figure5_seeds,
     _largest_pow2_at_most,
     bergman_chain,
@@ -287,6 +288,26 @@ def test_six_point_data_equality_reads_the_entries():
     assert (d1.a1, d1.a2, d1.p, d1.q) == (d2.a1, d2.a2, d2.p, d2.q) == (F(1), F(1), F(1), F(1))
     assert d1 == d2 and hash(d1) == hash(d2)
     assert d1 != six_point_data(build_figure9(F(1, 3)), (0, 0))
+
+
+def test_six_point_terms_reduce_to_the_entries():
+    # each (num, den) pair is an entry with its denominators cleared, not reduced
+    unreduced = 0
+    for g in (build_figure9(F(1, 3)), build_figure5(3, F(1, 4))[0]):
+        for k, data in six_point_scan(g, 4, 4):
+            assert all(type(n) is int and type(d) is int and d > 0 for n, d in data.terms)
+            assert tuple(F(n, d) for n, d in data.terms) == _six_point_by_fractions(g, k)[:4]
+            unreduced += sum(F(n, d).denominator != d for n, d in data.terms)
+    assert unreduced
+
+
+def test_six_point_data_equality_ignores_the_unreduced_terms():
+    d1 = SixPointData(((1, 2), (2, 6), (3, 3), (0, 5)), True)
+    d2 = SixPointData(((4, 8), (1, 3), (1, 1), (0, 1)), True)
+    assert d1.terms != d2.terms
+    assert d1 == d2 and hash(d1) == hash(d2)
+    assert d1 != SixPointData(d2.terms, False)
+    assert d1 != SixPointData(((1, 2), (1, 3), (1, 1), (1, 5)), True)
 
 
 def test_both_moment_paths_reject_negative_indices():
@@ -574,8 +595,7 @@ def _totallyflat_rules(x_row, y_sq):
 
 
 def _figure5_rules(k2, alpha0_sq, beta0_sq):
-    chain = bergman_chain(k2)
-    seeds = _figure5_seeds(chain, alpha0_sq, beta0_sq)
+    chain, seeds = _figure5_seeds(k2, alpha0_sq, beta0_sq)
 
     def alpha(k1, k2_):
         if k2_ < k2:
