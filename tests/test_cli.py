@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, run in process through main()."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -353,6 +354,62 @@ def test_verify_paper_all_pass(capsys, specs):
     assert code == 0
     assert out.count("PASS") == 20
     assert "20/20 checks passed" in out
+
+
+# ---------------------------------------------------------------------------
+# golden outputs
+
+# command line (spec names from the fixture) -> (exit code, sha256 of stdout);
+# reports name no path, so their bytes do not depend on where specs live
+_GOLDEN = {
+    "moments bergman --window 6 --json": (0, "e0bd44d08c00aa888d91f4cfb3f901e74329ed2980128e0d1323c4481f984304"),
+    "check-hypo bergman --window 8 --json": (0, "01db4941618a0e7229290ce1bd70782cbec0a17675e45b7100a60eaf56758d66"),
+    "check-khypo bergman --k 1 --window 6 --json": (0, "f4e1693fcea3b7473e00d09bfe1ebc7288ae7bfae24788c56c8c91c7da52cb79"),
+    "check-khypo bergman --k 2 --window 6 --json": (0, "ed20c37434d2fd4bbfa92a139ca3b91e1179215944169d779e558b2c9b1cc71d"),
+    "check-khypo bergman --k 3 --window 6 --json": (0, "8dce55b6d32d92e7ea413127f7f3670673ae738c3cde92acaa330cace0f79e49"),
+    "moments witness --window 6 --json": (0, "4f6272cceb40fee8c631a8501b62c31e3bbd57e0a4ba07263af085fd0a3a2084"),
+    "check-hypo witness --window 8 --json": (0, "01db4941618a0e7229290ce1bd70782cbec0a17675e45b7100a60eaf56758d66"),
+    "check-khypo witness --k 1 --window 6 --json": (0, "f4e1693fcea3b7473e00d09bfe1ebc7288ae7bfae24788c56c8c91c7da52cb79"),
+    "check-khypo witness --k 2 --window 6 --json": (1, "9a7827722554b2f4bd5156c87c4553d7d4d945e4e20838456478094837a55094"),
+    "check-khypo witness --k 3 --window 6 --json": (1, "8c328f57b489c5b4d05c81b6026256bcc212ce1a7bce8b913b928d81c63de25a"),
+    "moments decreasing --window 6 --json": (0, "28890d5ebf6b81a9aac47db441781488b7f31079c83609eff42d1bf5849d5276"),
+    "check-hypo decreasing --window 8 --json": (1, "e495907dba574c16e2a4cfa561d87d2f506a08b090cb92ae6132470d86bf037a"),
+    "check-khypo decreasing --k 1 --window 6 --json": (1, "d690302df0f872ffe397b191145a29b746ea7c9b1625f3e6216331215afc93ae"),
+    "check-khypo decreasing --k 2 --window 6 --json": (1, "9a7827722554b2f4bd5156c87c4553d7d4d945e4e20838456478094837a55094"),
+    "check-khypo decreasing --k 3 --window 6 --json": (1, "8c328f57b489c5b4d05c81b6026256bcc212ce1a7bce8b913b928d81c63de25a"),
+    "moments finite --window 6 --json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "check-hypo finite --window 8 --json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "check-khypo finite --k 1 --window 6 --json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "check-khypo finite --k 2 --window 6 --json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "check-khypo finite --k 3 --window 6 --json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "sixpoint fig9 --window 6 4 --json": (0, "dc5a09acf7f5661b767fcc2efc4ce25cdd985bd10b0e2de4d1e506844ff578a2"),
+    "joint fig9 --window 12 6 --json": (0, "ac7200bba293dd1e7de08fb216826e2fa7accc6de16a189d943d132ee86765f8"),
+    "sixpoint fig5 --window 6 4 --json": (0, "17e69c5cb925974dd82c997a1da48de22fe6abdca490d32dbac74539df2c9621"),
+    "joint fig5 --window 12 6 --json": (0, "ac7200bba293dd1e7de08fb216826e2fa7accc6de16a189d943d132ee86765f8"),
+    "sixpoint flatpair --window 6 4 --json": (1, "90bbdae38c8b41567b1366a8eb52e8ec5430d7eb3c7a344eb24d672d118b885a"),
+    "joint flatpair --window 12 6 --json": (1, "b99332d4b771c7dcce1ec0803d3e89399702db23c2be5e299505b0b24a88e133"),
+    "sixpoint sfc_mid --window 6 4 --json": (0, "0f66e950a817c56cc22d95b58d8aa257b6ee4b98573aa223945deaa2cf7b9cc3"),
+    "joint sfc_mid --window 12 6 --json": (0, "ac7200bba293dd1e7de08fb216826e2fa7accc6de16a189d943d132ee86765f8"),
+    "sixpoint sfc_tight --window 6 4 --json": (1, "44ad625129a820a0c1f4e61dc06087f692c0e85bc63e8ee5182524c2f19fda20"),
+    "joint sfc_tight --window 12 6 --json": (1, "90dda784a058d97711f5bfa0651bb5cd97a553a1c67e7e45f6efe4fb59b442ce"),
+    "sixpoint unknown --window 6 4 --json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "joint unknown --window 12 6 --json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "sixpoint badjson --window 6 4 --json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "joint badjson --window 12 6 --json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "classify-sfc sfc_mid --json": (0, "1997dc9c054fb50b4c0545c01f4ca5bfa5fbb2c281b3348e48a076ee3dfeacb3"),
+    "classify-sfc sfc_tight --json": (0, "5881d5b865bfacca7a76e85e390a8670e62f313c16d807a8b00e9dcb1fd73d4d"),
+    "scan --lo 1/3 --hi 1/2 --steps 5": (0, "f1d1d3362cfbf9758888c8732b186fb9f5fe2ea496a974465a8a589a4cd116d3"),
+    "verify-paper --json": (0, "bcce2c045c9dd5183c05325ccf959e131594eed52cd3f472a0773c5641ad6811"),
+}
+
+
+def test_reports_match_their_golden_digests(capsys, specs, monkeypatch):
+    monkeypatch.delenv("SHIFTLAB_PRECISION", raising=False)
+    seen = {}
+    for line in _GOLDEN:
+        code, out, _ = run(capsys, [specs.get(word, word) for word in line.split()])
+        seen[line] = (code, hashlib.sha256(out.encode("utf-8")).hexdigest())
+    assert seen == _GOLDEN
 
 
 # ---------------------------------------------------------------------------
