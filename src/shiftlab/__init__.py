@@ -4,107 +4,8 @@ Moment calculus, hyponormality and k-hyponormality checks, backward
 extensions of representing measures, 2-variable grid positivity, and the
 classification of symmetrically flat contractive pairs; every verdict is
 computed in fractions, never floats.
-"""
 
-from .exactnum import (
-    ExactInputError,
-    decimal_string,
-    format_rational,
-    matrix_det,
-    parse_rational,
-    poly_nonneg_on_interval,
-    psd2_radical_cross,
-    psd_check,
-)
-from .measures import (
-    INFINITE,
-    ExtensionResult,
-    Measure1D,
-    Measure2D,
-    MeasureError,
-    NegativePartError,
-    UnsupportedDensityError,
-    backward_ext_1var,
-    backward_ext_2var,
-    combine1d,
-    delta,
-    density,
-    extremal,
-    lebesgue,
-    make1d,
-    make2d,
-    marginal_x,
-    max_backward_weight_sq,
-    measure1d_from_json,
-    measure_leq,
-    measure_sub,
-    product2d,
-)
-from .sfc import (
-    Classification,
-    SFCError,
-    SFCParams,
-    classify,
-    example_family,
-    h_threshold_sq,
-    moment_domination_check,
-    make_params,
-    s_threshold_sq,
-    scan_region,
-    sfc_backward_extension,
-    sfc_grid,
-    sfc_mu_m,
-)
-from .shift1d import (
-    AuditResult,
-    ShiftError,
-    WeightSeq,
-    WeightTail,
-    alpha_family,
-    alpha_family_reciprocal_product,
-    bergman_like,
-    bergman_like_hankel2_det,
-    beta_family_reciprocal_product,
-    beta_r_family,
-    flat_shift,
-    hankel_det,
-    hankel_matrix,
-    hankel_psd,
-    hyponormal_witness,
-    is_flat,
-    is_hyponormal,
-    is_k_hyponormal,
-    khypo_witness,
-    make_weights,
-    propagation_audit,
-    unilateral,
-    verify_berger,
-    weights_from_json,
-)
-from .shift2d import (
-    FlatnessFlags,
-    GridError,
-    PropagationReport,
-    ShiftGrid2D,
-    SixPointData,
-    WindowReport,
-    build_explicit,
-    build_figure5,
-    build_figure9,
-    build_sfc_grid,
-    build_totallyflat,
-    check_commuting,
-    figure9_subnormality,
-    flatness,
-    gamma2,
-    gamma2_up_first,
-    grid_from_json,
-    joint_hyponormal_window,
-    propagation_consequences,
-    six_point,
-    six_point_data,
-    six_point_scan,
-    window_indices,
-)
+Import each name from its module; the package root holds only __version__.
+"""
 
 __version__ = "0.1.0"

@@ -273,15 +273,6 @@ def measure_sub(mu: Measure1D, nu: Measure1D) -> Measure1D:
     return combine1d([(Fraction(1), mu), (Fraction(-1), nu)])
 
 
-def measure_leq(mu: Measure1D, nu: Measure1D) -> bool:
-    """Setwise comparison: mu(E) <= nu(E) for every Borel E."""
-    try:
-        measure_sub(nu, mu)
-    except NegativePartError:
-        return False
-    return True
-
-
 def _divide_by_t(mu: Measure1D) -> Measure1D:
     """The measure (1/t) dmu, the one statement of the 1/t rule.  Mass at
     t = 0 diverges; a nonzero constant term away from 0 gives a logarithm."""
@@ -424,10 +415,6 @@ def make2d(terms: Iterable[tuple[Fraction, Measure1D, Measure1D]]) -> Measure2D:
     return Measure2D(tuple(canon))
 
 
-def product2d(s_part: Measure1D, t_part: Measure1D, coeff: Fraction = Fraction(1)) -> Measure2D:
-    return make2d([(coeff, s_part, t_part)])
-
-
 def extremal(mu: Measure2D) -> Measure2D:
     """Reweight by (1 - delta_0(t)) / (t * ||1/t||): drop t-mass at 0, divide
     by t, renormalize to a probability measure."""
@@ -440,26 +427,8 @@ def extremal(mu: Measure2D) -> Measure2D:
     return make2d([(term.coeff / norm, term.s_part, _divide_by_t(term.t_part)) for term in mu.terms])
 
 
-def marginal_x(mu: Measure2D) -> Measure1D:
-    return mu.marginal_x()
-
-
 # ---------------------------------------------------------------------------
 # backward extensions
-
-
-def max_backward_weight_sq(eta_m: Measure1D) -> Fraction:
-    """Largest squared weight that can be prepended below a given measure.
-
-    Equal to the reciprocal of the 1/t norm; no finite bound exists when the
-    norm diverges.
-    """
-    norm = eta_m.inv_t_norm()
-    if norm is INFINITE:
-        raise MeasureError("no finite prepend bound: 1/t norm diverges")
-    if norm == 0:
-        raise MeasureError("no mass: prepend bound undefined")
-    return 1 / norm
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,9 @@ def make_params(xi: Measure1D, eta: Measure1D, a_sq: Fraction, y0_sq: Fraction) 
     for name, mu in (("xi", xi), ("eta", eta)):
         if not mu.is_probability():
             raise SFCError(f"{name} must be a probability measure, has mass {mu.total_mass()}")
+        support_hi = max([x for x, _ in mu.atoms] + [seg.hi for seg in mu.segments])
+        if support_hi > 1:
+            raise SFCError(f"{name} must live on [0, 1], its support reaches {support_hi}")
     if not 0 < a_sq <= 1:
         raise SFCError(f"need 0 < a_sq <= 1, got {a_sq}")
     if not 0 < y0_sq <= 1:
@@ -284,27 +287,6 @@ def scan_csv_text(rows: list[ScanRow], digits: int) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def moment_domination_check(xi: Measure1D) -> bool:
-    """Exact verification that the first moment dominates the atom at 1, the
-    complementary moment dominates the atom at 0, and both dominations are
-    strict exactly when some mass lies strictly between."""
-    if not xi.is_probability():
-        raise SFCError(f"need a probability measure, mass is {xi.total_mass()}")
-    support_hi = max(
-        [pt for pt, _ in xi.atoms] + [seg.hi for seg in xi.segments],
-        default=Fraction(0),
-    )
-    if support_hi > 1:
-        raise SFCError(f"support reaches {support_hi}, beyond 1")
-    p_atom = xi.atom_mass(Fraction(0))
-    q_atom = xi.atom_mass(Fraction(1))
-    m1 = xi.moment(1)
-    first = m1 >= q_atom
-    second = 1 - m1 >= p_atom
-    strict = m1 > q_atom and 1 - m1 > p_atom
-    return first and second and (strict == (p_atom + q_atom < 1))
 
 
 # ---------------------------------------------------------------------------

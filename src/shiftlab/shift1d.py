@@ -182,10 +182,6 @@ def hyponormal_witness(w: WeightSeq, window: int) -> int | None:
     return next((k for k in range(window) if w.weight_sq(k + 1) < w.weight_sq(k)), None)
 
 
-def is_hyponormal(w: WeightSeq, window: int) -> bool:
-    return hyponormal_witness(w, window) is None
-
-
 def hankel_matrix(w: WeightSeq, order: int, base: int) -> Matrix:
     """(gamma_(base+i+j)) for i, j in 0..order."""
     if order < 1 or base < 0:
@@ -210,10 +206,6 @@ def khypo_witness(w: WeightSeq, order: int, window: int) -> int | None:
     if order < 1 or window < 0:
         raise ShiftError(f"need order >= 1 and window >= 0, got {order}, {window}")
     return next((b for b in range(window + 1) if not hankel_psd(w, order, b)), None)
-
-
-def is_k_hyponormal(w: WeightSeq, order: int, window: int) -> bool:
-    return khypo_witness(w, order, window) is None
 
 
 def bergman_like_hankel2_det(ell: int, k: int, gamma_k: Fraction) -> Fraction:

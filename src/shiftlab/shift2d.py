@@ -568,7 +568,9 @@ def _figure5_seeds(k2: int, alpha0_sq: Fraction, beta0_sq: Fraction | None) -> t
     The chain grows one parameter per seed, top down.  Those powers of two
     never grow downward, so once one has more digits than Python will print
     (told from bit lengths), the bottom seed will too: without an explicit
-    bottom seed the search stops there with the too-deep GridError."""
+    bottom seed the search stops there with the too-deep GridError.  With
+    one, it stops at the first chain parameter past that limit, whose
+    level's weights could not be printed either."""
     top_down = [16 / alpha0_sq]  # the seeds k2, k2 - 1, ..., 0
     chain = bergman_chain(min(k2, 2))
     if k2 == 1:
@@ -582,17 +584,22 @@ def _figure5_seeds(k2: int, alpha0_sq: Fraction, beta0_sq: Fraction | None) -> t
     else:
         top_down.append(1 / alpha0_sq)
         limit = sys.get_int_max_str_digits()  # 0: no limit
-        # a denominator of more bits than 10**limit has more than limit digits
-        printable_bits = (10**limit).bit_length() if limit and beta0_sq is None else None
+        # an integer of more bits than 10**limit has more than limit digits
+        printable_bits = (10**limit).bit_length() if limit else None
         for n in range(k2 - 2, -1, -1):
             if n < k2 - 2:
                 chain.append(next_chain_param(chain[-2], chain[-1]))
+                if printable_bits and chain[-1].bit_length() > printable_bits:
+                    raise GridError(
+                        f"k2 = {k2} is too deep: the Bergman-like parameter of level {n} "
+                        f"has more than {limit} digits"
+                    )
             ell_up, ell_low = chain[-2], chain[-1]
             bound = _pair_seed_bound(ell_low, ell_up, top_down[-1])
             if n == k2 - 2:
                 bound = min(bound, _display_bound_top_pair(ell_low, ell_up), figure5_f(1, (ell_low, ell_up)))
             seed = beta0_sq if n == 0 and beta0_sq is not None else _largest_pow2_at_most(bound)
-            if printable_bits and seed.denominator.bit_length() > printable_bits:
+            if printable_bits and beta0_sq is None and seed.denominator.bit_length() > printable_bits:
                 raise _too_deep(k2)
             top_down.append(seed)
     return chain, [Fraction(s) for s in reversed(top_down)]

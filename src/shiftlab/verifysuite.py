@@ -32,7 +32,7 @@ from .shift1d import (
     beta_r_family,
     flat_shift,
     hankel_det,
-    is_k_hyponormal,
+    khypo_witness,
     make_weights,
     propagation_audit,
     verify_berger,
@@ -76,7 +76,7 @@ def check_hankel2_closed_form_positive() -> bool:
         for k in range(51):
             if bergman_like_hankel2_det(ell, k, gammas[k]) <= 0:
                 return False
-        if not is_k_hyponormal(w, 2, 10):
+        if khypo_witness(w, 2, 10) is not None:
             return False
     return True
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -425,7 +426,7 @@ def test_precision_env_honored(capsys, specs, monkeypatch):
 
 
 def test_precision_env_invalid(capsys, specs, monkeypatch):
-    for bad in ("abc", "0"):
+    for bad in ("abc", "0", "4301", str(10**12), str(10**18), str(10**20)):
         monkeypatch.setenv("SHIFTLAB_PRECISION", bad)
         code, _, err = run(capsys, ["moments", specs["bergman"]])
         assert code == 2 and "SHIFTLAB_PRECISION" in err
@@ -535,6 +536,19 @@ def test_deep_figure5_is_an_input_error(tmp_path, capsys, k2):
     code, out, err = run(capsys, ["joint", str(path), "--window", "5", "5"])
     assert code == 2 and out == ""
     assert err == f"error: k2 = {k2} is too deep: the bottom seed beta0_sq has too many digits to print\n"
+
+
+def test_deep_figure5_with_an_explicit_bottom_seed_is_an_input_error(tmp_path, capsys):
+    # the 96th Bergman-like parameter from the top passes the digit limit;
+    # the search stops there instead of building every seed below it
+    path = tmp_path / "deep.json"
+    spec = {"model": "figure5", "k2": 400, "alpha0_sq": "1/4", "beta0_sq": "1/3"}
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["joint", str(path), "--window", "5", "5"])
+    assert time.perf_counter() - start < 5  # about 0.3 s; the full search does not end in minutes
+    assert code == 2 and out == ""
+    assert err == "error: k2 = 400 is too deep: the Bergman-like parameter of level 304 has more than 4300 digits\n"
 
 
 _unit_points = st.fractions(min_value=0, max_value=1, max_denominator=8)

@@ -30,12 +30,8 @@ from shiftlab.measures import (
     lebesgue,
     make1d,
     make2d,
-    marginal_x,
-    max_backward_weight_sq,
     measure1d_from_json,
-    measure_leq,
     measure_sub,
-    product2d,
 )
 
 F = Fraction
@@ -112,7 +108,7 @@ def test_eta_one_values():
     assert eta1.is_probability()
     assert eta1.moment(1) == F(8, 9)
     assert eta1.inv_t_norm() == F(4, 3)
-    assert max_backward_weight_sq(eta1) == F(3, 4)
+    assert 1 / eta1.inv_t_norm() == F(3, 4)  # the largest prependable squared weight
 
 
 def test_inv_t_norm_infinite_cases():
@@ -132,8 +128,9 @@ def test_inv_t_norm_finite_segment():
 
 
 def test_max_backward_weight_rejects_infinite():
-    with pytest.raises(MeasureError):
-        max_backward_weight_sq(lebesgue())
+    # a divergent 1/t norm leaves no positive weight to prepend
+    result = backward_ext_1var(lebesgue(), F(1, 100))
+    assert not result.ok and result.failed == "i" and result.inv_t_norm is INFINITE
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +146,15 @@ def test_scale_and_zero():
 
 
 def test_measure_order():
+    # mu <= nu setwise exactly when nu - mu is a measure
     eta1 = eta_one()
-    assert measure_leq(eta1.scale(F(1, 2)), eta1)
-    assert not measure_leq(eta1, eta1.scale(F(1, 2)))
-    assert measure_leq(eta1, eta1)
+    measure_sub(eta1, eta1.scale(F(1, 2)))
+    with pytest.raises(NegativePartError):
+        measure_sub(eta1.scale(F(1, 2)), eta1)
+    measure_sub(eta1, eta1)
     # incomparable pair: mass in different places
-    assert not measure_leq(delta(F(1, 3)), delta(F(2, 3)))
+    with pytest.raises(NegativePartError):
+        measure_sub(delta(F(2, 3)), delta(F(1, 3)))
 
 
 def test_measure_sub_exact():
@@ -251,7 +251,7 @@ def test_backward_ext_always_probability_when_accepted(beta_sq, extra):
 
 
 def test_product_moments_factor():
-    mu = product2d(three_atoms(), eta_one())
+    mu = make2d([(F(1), three_atoms(), eta_one())])
     for j in range(5):
         for k in range(5):
             assert mu.moment(j, k) == three_atoms().moment(j) * eta_one().moment(k)
@@ -273,7 +273,7 @@ def test_extremal_two_atom_column():
     assert mu.inv_t_norm() == 2
     ext = extremal(mu)
     assert ext.total_mass() == 1
-    assert marginal_x(ext) == make1d([(F(0), F(1, 2)), (F(1), F(1, 2))])
+    assert ext.marginal_x() == make1d([(F(0), F(1, 2)), (F(1), F(1, 2))])
     for j in range(4):
         for k in range(4):
             s_factor = F(1) if j == 0 else F(1, 2)
@@ -289,11 +289,11 @@ def test_extremal_mixed_corner_mass():
     assert mu.inv_t_norm() == F(4, 3)
     ext = extremal(mu)
     assert ext.total_mass() == 1
-    assert marginal_x(ext) == make1d([(F(0), F(5, 8)), (F(1), F(3, 8))])
+    assert ext.marginal_x() == make1d([(F(0), F(5, 8)), (F(1), F(3, 8))])
 
 
 def test_extremal_requires_finite_norm():
-    mu = product2d(delta(F(1)), delta(F(0)))
+    mu = make2d([(F(1), delta(F(1)), delta(F(0)))])
     assert mu.inv_t_norm() is INFINITE
     with pytest.raises(MeasureError):
         extremal(mu)
@@ -314,7 +314,7 @@ def test_backward_ext_2var_accepts_below_threshold():
     mu = result.measure
     assert mu.is_probability()
     # first marginal reproduces the level measure exactly
-    assert marginal_x(mu) == three_atoms()
+    assert mu.marginal_x() == three_atoms()
     assert mu.moment(1, 0) == F(1, 2)
 
 
@@ -337,7 +337,7 @@ def test_backward_ext_2var_rejects_oversized_weight():
 
 
 def test_backward_ext_2var_rejects_infinite_norm():
-    core = product2d(delta(F(1)), make1d([(F(0), F(1, 2)), (F(1), F(1, 2))]))
+    core = make2d([(F(1), delta(F(1)), make1d([(F(0), F(1, 2)), (F(1), F(1, 2))]))])
     result = backward_ext_2var(core, three_atoms(), F(1, 4))
     assert not result.ok and result.failed == "i"
 
@@ -614,7 +614,7 @@ def test_backward_ext_2var_equals_the_two_step_reference(terms, nu, share, exces
     except MeasureError:
         xi, beta00_sq = nu, F(1, 2)
     else:
-        xi = combine1d([(share, marginal_x(ext)), (1 - share, nu)])
+        xi = combine1d([(share, ext.marginal_x()), (1 - share, nu)])
         beta00_sq = excess * share / mu_m.inv_t_norm()
     try:
         expected = _ref_backward_ext_2var(mu_m, xi, beta00_sq)

@@ -16,7 +16,6 @@ from shiftlab.sfc import (
     example_family,
     example_family_measures,
     h_threshold_sq,
-    moment_domination_check,
     make_params,
     params_from_json,
     s_threshold_sq,
@@ -88,6 +87,15 @@ def test_make_params_validation():
         make_params(delta(F(0)), eta, F(1, 2), F(1, 2))
     with pytest.raises(SFCError):
         make_params(delta(F(2)), eta, F(1, 2), F(1, 2))
+    # support past 1 once got a verdict: the level-0 weight at k = 5 is 956093/945880
+    past_one = make1d([(F(1, 2), F(9, 10)), (F(11, 10), F(1, 10))])
+    two_atoms = make1d([(F(0), F(1, 2)), (F(1), F(1, 2))])
+    with pytest.raises(SFCError, match=r"^xi must live on \[0, 1\], its support reaches 11/10$"):
+        make_params(past_one, two_atoms, F(1, 2), F(1, 10))
+    with pytest.raises(SFCError, match=r"^eta must live on \[0, 1\], its support reaches 11/10$"):
+        make_params(three_atoms(), past_one, F(1, 2), F(1, 10))
+    with pytest.raises(SFCError, match=r"^eta must live on \[0, 1\], its support reaches 2$"):
+        make_params(three_atoms(), density([F(1, 2)], F(0), F(2)), F(1, 2), F(1, 10))
 
 
 def test_column_measure_concentrated_at_zero_is_an_sfc_error():
@@ -258,17 +266,6 @@ def test_scan_region_validation():
         scan_region(F(1, 3), F(2, 3), 5)
     with pytest.raises(SFCError):
         scan_region(F(1, 2), F(1, 3), 5)
-
-
-def test_moment_domination_check():
-    assert moment_domination_check(three_atoms())
-    assert moment_domination_check(lebesgue())
-    assert moment_domination_check(delta(F(1)))
-    assert moment_domination_check(make1d([(F(0), F(1, 2)), (F(1), F(1, 2))]))
-    with pytest.raises(SFCError):
-        moment_domination_check(delta(F(3, 2)))
-    with pytest.raises(SFCError):
-        moment_domination_check(density([F(2)]))
 
 
 # ---------------------------------------------------------------------------

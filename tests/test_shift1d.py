@@ -22,8 +22,6 @@ from shiftlab.shift1d import (
     hankel_psd,
     hyponormal_witness,
     is_flat,
-    is_hyponormal,
-    is_k_hyponormal,
     khypo_witness,
     make_weights,
     propagation_audit,
@@ -123,13 +121,13 @@ def test_negative_index_rejected():
 
 
 def test_hyponormal_families():
-    assert is_hyponormal(alpha_family(), 30)
-    assert is_hyponormal(bergman_like(1), 30)
-    assert is_hyponormal(witness_shift(), 30)
+    assert hyponormal_witness(alpha_family(), 30) is None
+    assert hyponormal_witness(bergman_like(1), 30) is None
+    assert hyponormal_witness(witness_shift(), 30) is None
     decreasing = make_weights((F(1), F(1, 2)), WeightTail("constant", F(1, 2)))
-    assert not is_hyponormal(decreasing, 5)
+    assert hyponormal_witness(decreasing, 5) is not None
     with pytest.raises(ShiftError):
-        is_hyponormal(unilateral(), 0)
+        hyponormal_witness(unilateral(), 0)
 
 
 def test_witness_hankel_matrix_and_det():
@@ -141,7 +139,7 @@ def test_witness_hankel_matrix_and_det():
     ]
     assert hankel_det(w, 2, 0) == F(-9, 4096)
     assert not hankel_psd(w, 2, 0)
-    assert not is_k_hyponormal(w, 2, 5)
+    assert khypo_witness(w, 2, 5) is not None
 
 
 def test_witness_scans_name_the_first_failure():
@@ -164,12 +162,10 @@ def test_witness_scans_name_the_first_failure():
         (khypo_witness, (0, 4)),
         (khypo_witness, (2, -1)),
         (khypo_witness, (0, -5)),
-        (is_k_hyponormal, (2, -1)),
-        (is_k_hyponormal, (0, -5)),
     ],
 )
 def test_witness_scans_reject_bad_order_and_window(scan, args):
-    # a negative window once made is_k_hyponormal scan nothing and pass
+    # a negative window once made the k-hyponormality scan look at nothing and pass
     with pytest.raises(ShiftError):
         scan(witness_shift(), *args)
 
@@ -177,7 +173,7 @@ def test_witness_scans_reject_bad_order_and_window(scan, args):
 def test_subnormal_families_pass_every_order():
     for w in (bergman_like(1), bergman_like(2), alpha_family(), beta_r_family(F(16, 25))):
         for order in range(1, 5):
-            assert is_k_hyponormal(w, order, 12)
+            assert khypo_witness(w, order, 12) is None
 
 
 @pytest.mark.parametrize(
