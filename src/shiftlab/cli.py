@@ -60,8 +60,8 @@ def _digits() -> int:
         raise CliInputError(f"SHIFTLAB_PRECISION: expected an integer, got {raw!r}")
     if digits < 1:
         raise CliInputError(f"SHIFTLAB_PRECISION: need at least 1 digit, got {digits}")
-    # a longer rendering could not be printed (format_rational's limit) or
-    # would overflow the decimal context
+    # the limit format_rational enforces, or decimal's own when that is off;
+    # larger values overflow the decimal context or exhaust memory
     limit = sys.get_int_max_str_digits() or decimal.MAX_PREC
     if digits > limit:
         raise CliInputError(f"SHIFTLAB_PRECISION: at most {limit} digits, got {digits}")
