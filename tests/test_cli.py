@@ -527,28 +527,34 @@ def test_internal_error_exits_three_without_traceback(capsys, specs, monkeypatch
     assert err == "internal error: RuntimeError: broken subcommand\n"
 
 
-@pytest.mark.parametrize("k2", [31, 40, 400])
-def test_deep_figure5_is_an_input_error(tmp_path, capsys, k2):
+_SEED_TOO_LONG = "the bottom seed beta0_sq has too many digits to print"
+
+
+@pytest.mark.parametrize(
+    "k2, beta0_sq, reason",
+    [
+        (31, None, _SEED_TOO_LONG),
+        (40, None, _SEED_TOO_LONG),
+        (400, None, _SEED_TOO_LONG),
+        (400, "1/3", "the Bergman-like parameter of level 304 has more than 4300 digits"),
+    ],
+    ids=["31", "40", "400", "400-beta0"],
+)
+def test_deep_figure5_is_an_input_error(tmp_path, capsys, k2, beta0_sq, reason):
     # the bottom seed 2**-j passes Python's int-to-string digit limit; at
-    # k2 = 400 the seed search stops as soon as a running seed passes it
+    # k2 = 400 the seed search stops as soon as a running seed passes it,
+    # and with an explicit bottom seed at the 96th Bergman-like parameter
+    spec = {"model": "figure5", "k2": k2, "alpha0_sq": "1/4"}
+    if beta0_sq is not None:
+        spec["beta0_sq"] = beta0_sq
     path = tmp_path / "deep.json"
-    path.write_text(json.dumps({"model": "figure5", "k2": k2, "alpha0_sq": "1/4"}), encoding="utf-8")
-    code, out, err = run(capsys, ["joint", str(path), "--window", "5", "5"])
-    assert code == 2 and out == ""
-    assert err == f"error: k2 = {k2} is too deep: the bottom seed beta0_sq has too many digits to print\n"
-
-
-def test_deep_figure5_with_an_explicit_bottom_seed_is_an_input_error(tmp_path, capsys):
-    # the 96th Bergman-like parameter from the top passes the digit limit;
-    # the search stops there instead of building every seed below it
-    path = tmp_path / "deep.json"
-    spec = {"model": "figure5", "k2": 400, "alpha0_sq": "1/4", "beta0_sq": "1/3"}
     path.write_text(json.dumps(spec), encoding="utf-8")
     start = time.perf_counter()
     code, out, err = run(capsys, ["joint", str(path), "--window", "5", "5"])
-    assert time.perf_counter() - start < 5  # about 0.3 s; the search down to level 0 ran past two minutes
+    # at most 0.3 s here; the explicit-seed search down to level 0 ran past two minutes
+    assert time.perf_counter() - start < 5
     assert code == 2 and out == ""
-    assert err == "error: k2 = 400 is too deep: the Bergman-like parameter of level 304 has more than 4300 digits\n"
+    assert err == f"error: k2 = {k2} is too deep: {reason}\n"
 
 
 _unit_points = st.fractions(min_value=0, max_value=1, max_denominator=8)
