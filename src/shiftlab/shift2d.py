@@ -1,17 +1,18 @@
-"""Two-variable weighted shifts as generator-backed squared-weight grids.
+"""Two-variable weighted shifts as stacks of one-variable levels.
 
-A grid answers ``alpha_sq(k1, k2)`` and ``beta_sq(k1, k2)`` at any index.
-Every built-in family is a stack of 1-variable shifts: level k2 is a weight
-sequence that gives ``alpha_sq(k1, k2)``, and a column of beta seeds starts
-each level's betas, which follow from the commuting identity
+One grid type, `ShiftGrid2D`, answers ``alpha_sq(k1, k2)`` and
+``beta_sq(k1, k2)`` at any index: level k2 is a weight sequence that gives
+``alpha_sq(k1, k2)``, and a column of beta seeds starts each level's betas,
+which follow from the commuting identity
 
     beta_sq(k1+1, k2) * alpha_sq(k1, k2) == alpha_sq(k1, k2+1) * beta_sq(k1, k2),
 
 so commutativity holds by construction and `check_commuting` re-verifies it
 on demand.  A level that repeats the one above keeps its seed all along, the
-grid form of flatness.  Positivity tests route every 2 x 2 cross term through
-the exact radical-elimination comparison, asked on integers with the weights'
-denominators cleared; verdicts never touch floating point.
+grid form of flatness.  Explicit windows are the one grid whose betas are
+given rather than derived.  Positivity tests route every 2 x 2 cross term
+through the exact radical-elimination comparison, asked on integers with the
+weights' denominators cleared; verdicts never touch floating point.
 
 Every window scan reads the grid in the order of `window_indices`, and the
 first failing index wins as witness.
@@ -36,54 +37,6 @@ class GridError(ValueError):
     """Invalid grid data, parameters, or index."""
 
 
-class ShiftGrid2D:
-    """Generator-backed grid of squared weights with memoized access."""
-
-    def __init__(
-        self,
-        model: str,
-        alpha_fn: Callable[[int, int], Fraction],
-        beta_fn: Callable[[int, int], Fraction],
-        spec_obj: dict,
-    ):
-        self.model = model
-        self._alpha_fn = alpha_fn
-        self._beta_fn = beta_fn
-        self._spec_obj = spec_obj
-        self._alpha_cache: dict[Index, Fraction] = {}
-        self._beta_cache: dict[Index, Fraction] = {}
-
-    def _lookup(self, cache, fn, k1: int, k2: int, label: str) -> Fraction:
-        if k1 < 0 or k2 < 0:
-            raise GridError(f"negative index ({k1}, {k2})")
-        key = (k1, k2)
-        if key not in cache:
-            value = fn(k1, k2)
-            if value <= 0:
-                raise GridError(f"{label} squared weight at ({k1}, {k2}) is {value}, not positive")
-            cache[key] = value
-        return cache[key]
-
-    def alpha_sq(self, k1: int, k2: int) -> Fraction:
-        return self._lookup(self._alpha_cache, self._alpha_fn, k1, k2, "alpha")
-
-    def beta_sq(self, k1: int, k2: int) -> Fraction:
-        return self._lookup(self._beta_cache, self._beta_fn, k1, k2, "beta")
-
-    def to_json_obj(self) -> dict:
-        return self._spec_obj
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ShiftGrid2D)
-            and self.model == other.model
-            and self._spec_obj == other._spec_obj
-        )
-
-    def __repr__(self) -> str:
-        return f"ShiftGrid2D(model={self.model!r})"
-
-
 class _MomentShift:
     """The 1-variable shift of a probability measure: weight_sq(k) =
     m_(k+1) / m_k, with m_0 = 1.
@@ -96,39 +49,62 @@ class _MomentShift:
         self.weight_sq = functools.cache(lambda k: moment(k + 1) / moment(k))
 
 
-def _stacked_grid(
-    model: str,
-    level: Callable[[int], WeightSeq | _MomentShift],
-    seed: Callable[[int], Fraction],
-    spec: dict,
-) -> ShiftGrid2D:
-    """Grid whose level k2 is the 1-variable shift level(k2), with
-    beta_sq(0, k2) = seed(k2).
+class ShiftGrid2D:
+    """A 2-variable shift as its stack of levels: level(k2) is the
+    1-variable shift whose weights are the alphas of level k2, and
+    seed(k2) = beta_sq(0, k2).
 
     Each level's betas follow the commuting identity left to right, kept in
     a list so that no index recurses; equal alphas carry the beta across
     unchanged, and a level that is the same object as the level above keeps
-    its seed all along without reading a weight."""
-    level = functools.cache(level)
-    rows: dict[int, list[Fraction]] = {}
+    its seed all along without reading a weight.  Reads are not checked for
+    positivity: every builder validates the levels and seeds it stacks."""
 
-    def alpha(k1: int, k2: int) -> Fraction:
-        return level(k2).weight_sq(k1)
+    def __init__(
+        self,
+        model: str,
+        level: Callable[[int], WeightSeq | _MomentShift],
+        seed: Callable[[int], Fraction],
+        spec: dict,
+    ):
+        self.model = model
+        self._level = functools.cache(level)
+        self._seed = seed
+        self._spec = spec
+        self._rows: dict[int, list[Fraction]] = {}
 
-    def beta(k1: int, k2: int) -> Fraction:
-        here, up = level(k2), level(k2 + 1)
+    def alpha_sq(self, k1: int, k2: int) -> Fraction:
+        if k1 < 0 or k2 < 0:
+            raise GridError(f"negative index ({k1}, {k2})")
+        return self._level(k2).weight_sq(k1)
+
+    def beta_sq(self, k1: int, k2: int) -> Fraction:
+        if k1 < 0 or k2 < 0:
+            raise GridError(f"negative index ({k1}, {k2})")
+        here, up = self._level(k2), self._level(k2 + 1)
         if up is here:
-            return seed(k2)
-        row = rows.get(k2)
+            return self._seed(k2)
+        row = self._rows.get(k2)
         if row is None:
-            row = rows[k2] = [seed(k2)]
+            row = self._rows[k2] = [self._seed(k2)]
         while len(row) <= k1:
             i = len(row) - 1
             a_up, a_here = up.weight_sq(i), here.weight_sq(i)
             row.append(row[i] if a_up == a_here else row[i] * a_up / a_here)
         return row[k1]
 
-    return ShiftGrid2D(model, alpha, beta, spec)
+    def to_json_obj(self) -> dict:
+        return self._spec
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, ShiftGrid2D)
+            and self.model == other.model
+            and self._spec == other._spec
+        )
+
+    def __repr__(self) -> str:
+        return f"ShiftGrid2D(model={self.model!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +349,32 @@ def propagation_consequences(g: ShiftGrid2D, m: int, n: int) -> PropagationRepor
 # explicit grids
 
 
+class _ExplicitGrid(ShiftGrid2D):
+    """Materialized windows, betas given rather than derived from seeds."""
+
+    def __init__(self, alpha_rows: list[list[Fraction]], beta_rows: list[list[Fraction]], spec: dict):
+        self.model = "explicit"
+        self._spec = spec
+        self._windows = {"alpha": alpha_rows, "beta": beta_rows}
+
+    def _read(self, label: str, k1: int, k2: int) -> Fraction:
+        if k1 < 0 or k2 < 0:
+            raise GridError(f"negative index ({k1}, {k2})")
+        rows = self._windows[label]
+        if k2 >= len(rows) or k1 >= len(rows[0]):
+            raise GridError(f"{label} index ({k1}, {k2}) outside explicit window {len(rows[0])} x {len(rows)}")
+        value = rows[k2][k1]
+        if value <= 0:
+            raise GridError(f"{label} squared weight at ({k1}, {k2}) is {value}, not positive")
+        return value
+
+    def alpha_sq(self, k1: int, k2: int) -> Fraction:
+        return self._read("alpha", k1, k2)
+
+    def beta_sq(self, k1: int, k2: int) -> Fraction:
+        return self._read("beta", k1, k2)
+
+
 def build_explicit(alpha_rows: list[list[Fraction]], beta_rows: list[list[Fraction]]) -> ShiftGrid2D:
     """Grid from materialized windows; rows are levels (row index is k2)."""
     if not alpha_rows or not beta_rows:
@@ -381,24 +383,12 @@ def build_explicit(alpha_rows: list[list[Fraction]], beta_rows: list[list[Fracti
         width = len(rows[0])
         if width == 0 or any(len(r) != width for r in rows):
             raise GridError(f"explicit {name} window must be rectangular and nonempty")
-
-    def reader(rows: list[list[Fraction]], label: str) -> Callable[[int, int], Fraction]:
-        def fn(k1: int, k2: int) -> Fraction:
-            if k2 >= len(rows) or k1 >= len(rows[0]):
-                raise GridError(
-                    f"{label} index ({k1}, {k2}) outside explicit window "
-                    f"{len(rows[0])} x {len(rows)}"
-                )
-            return rows[k2][k1]
-
-        return fn
-
     spec = {
         "model": "explicit",
         "alpha_sq": [[format_rational(v) for v in row] for row in alpha_rows],
         "beta_sq": [[format_rational(v) for v in row] for row in beta_rows],
     }
-    return ShiftGrid2D("explicit", reader(alpha_rows, "alpha"), reader(beta_rows, "beta"), spec)
+    return _ExplicitGrid(alpha_rows, beta_rows, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +403,7 @@ def build_figure9(y_sq: Fraction) -> ShiftGrid2D:
         raise GridError(f"need 0 < y_sq <= 1, got {y_sq}")
     row0, top = alpha_family(), flat_shift(Fraction(1, 2))
     spec = {"model": "figure9", "y_sq": format_rational(y_sq)}
-    return _stacked_grid(
+    return ShiftGrid2D(
         "figure9",
         lambda k2: row0 if k2 == 0 else top,
         lambda k2: y_sq if k2 == 0 else Fraction(k2 + 1, k2 + 2),
@@ -457,7 +447,7 @@ def build_totallyflat(x_row: WeightSeq, y_sq: Fraction) -> ShiftGrid2D:
         raise GridError("x row must be bounded by 1")
     top = unilateral()
     spec = {"model": "totally_flat", "x_row": x_row.to_json_obj(), "y_sq": format_rational(y_sq)}
-    return _stacked_grid(
+    return ShiftGrid2D(
         "totally_flat",
         lambda k2: x_row if k2 == 0 else top,
         lambda k2: y_sq if k2 == 0 else Fraction(1),
@@ -549,12 +539,13 @@ def figure5_f(m: int, chain: tuple[int, int] = (18, 3)) -> Fraction:
     return low.gamma(m)[m] * x_m / (up.gamma(m)[m] ** 2 * (x_m + diff**2 * (m + 2) * (m + 3)))
 
 
-def figure5_g(m: int, ell_up: int = 3) -> Fraction:
+def figure5_g(m: int) -> Fraction:
     """Lower bound required of the squared seed two levels up from the (m, 1)
-    six-points, m >= 1; decreasing in m, so g(1) = 27/5 rules the level."""
+    six-points, m >= 1, under the top Bergman-like level 3; decreasing in m,
+    so g(1) = 27/5 rules the level."""
     if m < 1:
         raise GridError(f"need m >= 1, got {m}")
-    up = bergman_like(ell_up)
+    up = bergman_like(3)
     y_m = up.weight_sq(m)
     return (1 + (m + 2) * (m + 3) * (1 - y_m) ** 2 / y_m) / up.gamma(m)[m]
 
@@ -583,13 +574,14 @@ def _figure5_seeds(k2: int, alpha0_sq: Fraction, beta0_sq: Fraction | None) -> t
         top_down.append(beta0_sq if beta0_sq is not None else _largest_pow2_at_most(min(bound_a, bound_b)))
     else:
         top_down.append(1 / alpha0_sq)
-        limit = sys.get_int_max_str_digits()  # 0: no limit
+        # with the limit off (0), Python's default still bounds the depth
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
         # an integer of more bits than 10**limit has more than limit digits
-        printable_bits = (10**limit).bit_length() if limit else None
+        printable_bits = (10**limit).bit_length()
         for n in range(k2 - 2, -1, -1):
             if n < k2 - 2:
                 chain.append(next_chain_param(chain[-2], chain[-1]))
-                if printable_bits and chain[-1].bit_length() > printable_bits:
+                if chain[-1].bit_length() > printable_bits:
                     raise GridError(
                         f"k2 = {k2} is too deep: the Bergman-like parameter of level {n} "
                         f"has more than {limit} digits"
@@ -599,7 +591,7 @@ def _figure5_seeds(k2: int, alpha0_sq: Fraction, beta0_sq: Fraction | None) -> t
             if n == k2 - 2:
                 bound = min(bound, _display_bound_top_pair(ell_low, ell_up), figure5_f(1, (ell_low, ell_up)))
             seed = beta0_sq if n == 0 and beta0_sq is not None else _largest_pow2_at_most(bound)
-            if printable_bits and beta0_sq is None and seed.denominator.bit_length() > printable_bits:
+            if beta0_sq is None and seed.denominator.bit_length() > printable_bits:
                 raise _too_deep(k2)
             top_down.append(seed)
     return chain, [Fraction(s) for s in reversed(top_down)]
@@ -623,6 +615,14 @@ def build_figure5(
     than the raw six-point there, so a seed can fail this report while the
     plain window scan still passes; both views are reported honestly.
     """
+    grid, chain, seeds = _figure5_grid(k2, alpha0_sq, beta0_sq)
+    return grid, _figure5_report(k2, Fraction(alpha0_sq), seeds, chain)
+
+
+def _figure5_grid(
+    k2: int, alpha0_sq: Fraction, beta0_sq: Fraction | None
+) -> tuple[ShiftGrid2D, list[int], list[Fraction]]:
+    """The grid of `build_figure5` with its chain and seeds, bottom to top."""
     if k2 < 1:
         raise GridError(f"need k2 >= 1, got {k2}")
     alpha0_sq = Fraction(alpha0_sq)
@@ -645,9 +645,8 @@ def build_figure5(
         "alpha0_sq": format_rational(alpha0_sq),
         "beta0_sq": beta0_text,
     }
-    grid = _stacked_grid("figure5", lambda n: levels[min(n, k2)], lambda n: seeds[min(n, k2)], spec)
-    report = _figure5_report(k2, alpha0_sq, seeds, chain)
-    return grid, report
+    grid = ShiftGrid2D("figure5", lambda n: levels[min(n, k2)], lambda n: seeds[min(n, k2)], spec)
+    return grid, chain, seeds
 
 
 def _figure5_report(k2: int, alpha0_sq: Fraction, seeds: list[Fraction], chain: list[int]) -> WindowReport:
@@ -760,7 +759,7 @@ def build_sfc_grid(xi: Measure1D, eta1: Measure1D, a_sq: Fraction, y0_sq: Fracti
         "a_sq": format_rational(a_sq),
         "y0_sq": format_rational(y0_sq),
     }
-    return _stacked_grid(
+    return ShiftGrid2D(
         "sfc",
         lambda k2: row0 if k2 == 0 else flat_shift(a_sq / column.moment(k2 - 1)),
         lambda k2: y0_sq if k2 == 0 else column.weight_sq(k2 - 1),
@@ -799,7 +798,7 @@ def grid_from_json(obj: object, where: str = "grid") -> ShiftGrid2D:
         if not isinstance(k2, int) or isinstance(k2, bool):
             raise GridError(f"{where}.k2: expected an integer")
         beta0 = obj.get("beta0_sq")
-        grid, _ = build_figure5(
+        grid, _, _ = _figure5_grid(
             k2,
             parse_rational_field(obj.get("alpha0_sq"), f"{where}.alpha0_sq", GridError),
             None if beta0 is None else parse_rational_field(beta0, f"{where}.beta0_sq", GridError),

@@ -1,6 +1,7 @@
 """Two-variable weighted-shift grids and the window scans over them."""
 
 import random
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -14,7 +15,6 @@ from shiftlab.sfc import make_params, sfc_grid
 from shiftlab.shift1d import WeightSeq, WeightTail, alpha_family, make_weights
 from shiftlab.shift2d import (
     GridError,
-    ShiftGrid2D,
     SixPointData,
     _figure5_seeds,
     _largest_pow2_at_most,
@@ -143,6 +143,32 @@ def test_explicit_validation():
         g.alpha_sq(0, 0)
 
 
+_FAMILIES = {
+    "figure9": lambda: build_figure9(F(1, 3)),
+    "totally_flat": lambda: build_totallyflat(alpha_family(), F(1, 8)),
+    "figure5": lambda: build_figure5(3, F(1, 4))[0],
+    "sfc": lambda: build_sfc_grid(three_atoms(), eta_one(), F(1, 2), F(2, 5)),
+    "explicit": lambda: build_explicit([[F(1, 2), F(5, 6)]], [[F(1, 3), F(1, 3)]]),
+}
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_every_family_rejects_negative_indices(family):
+    # a stacked beta row is a list, so without the sign check row[-1] would answer
+    g = _FAMILIES[family]()
+    for read in (g.alpha_sq, g.beta_sq):
+        for k in ((-1, 0), (0, -1)):
+            with pytest.raises(GridError, match="negative index"):
+                read(*k)
+
+
+@pytest.mark.parametrize("family", [name for name in _FAMILIES if name != "explicit"])
+def test_every_stacked_read_is_positive(family):
+    g = _FAMILIES[family]()
+    for k1, k2 in window_indices(11, 5):
+        assert g.alpha_sq(k1, k2) > 0 and g.beta_sq(k1, k2) > 0, (k1, k2)
+
+
 def test_commuting_violation_is_located():
     g = build_explicit(
         [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]],
@@ -191,10 +217,17 @@ def _six_point_by_fractions(g, k):
     return a1, a2, p, q, psd2_radical_cross(a1, a2, p, q)
 
 
-def _grid_around_origin(alpha, beta):
-    """Grid that reads (alpha_sq, beta_sq) at (0, 0), (1, 0) and (0, 1)."""
-    spots = dict(zip([(0, 0), (1, 0), (0, 1)], zip(alpha, beta)))
-    return ShiftGrid2D("test", lambda k1, k2: spots[k1, k2][0], lambda k1, k2: spots[k1, k2][1], {})
+class _GridAroundOrigin:
+    """Fake grid that reads (alpha_sq, beta_sq) at (0, 0), (1, 0) and (0, 1)."""
+
+    def __init__(self, alpha, beta):
+        self.spots = dict(zip([(0, 0), (1, 0), (0, 1)], zip(alpha, beta)))
+
+    def alpha_sq(self, k1, k2):
+        return self.spots[k1, k2][0]
+
+    def beta_sq(self, k1, k2):
+        return self.spots[k1, k2][1]
 
 
 # Squared weights with numerators and denominators from 1 up to 2**6000, as
@@ -236,7 +269,7 @@ def _six_weights(draw):
 @given(_six_weights())
 @settings(max_examples=300, deadline=None)
 def test_six_point_data_matches_the_fraction_reference(weights):
-    g = _grid_around_origin(*weights)
+    g = _GridAroundOrigin(*weights)
     data = six_point_data(g, (0, 0))
     assert (data.a1, data.a2, data.p, data.q, data.ok) == _six_point_by_fractions(g, (0, 0))
 
@@ -257,7 +290,7 @@ def test_six_point_data_fixed_weights_match_the_fraction_reference():
     ]
     verdicts = []
     for alpha, beta in cases:
-        g = _grid_around_origin(alpha, beta)
+        g = _GridAroundOrigin(alpha, beta)
         data = six_point_data(g, (0, 0))
         assert (data.a1, data.a2, data.p, data.q, data.ok) == _six_point_by_fractions(g, (0, 0))
         verdicts.append(data.ok)
@@ -282,8 +315,8 @@ def test_six_point_kernel_reads_integers_only(monkeypatch):
 
 def test_six_point_data_equality_reads_the_entries():
     # equal entries from different weights compare equal, as the entries did
-    g1 = _grid_around_origin((F(1), F(2), F(1)), (F(1), F(1), F(2)))
-    g2 = _grid_around_origin((F(2), F(3), F(1, 2)), (F(1, 2), F(2), F(3, 2)))
+    g1 = _GridAroundOrigin((F(1), F(2), F(1)), (F(1), F(1), F(2)))
+    g2 = _GridAroundOrigin((F(2), F(3), F(1, 2)), (F(1, 2), F(2), F(3, 2)))
     d1, d2 = six_point_data(g1, (0, 0)), six_point_data(g2, (0, 0))
     assert (d1.a1, d1.a2, d1.p, d1.q) == (d2.a1, d2.a2, d2.p, d2.q) == (F(1), F(1), F(1), F(1))
     assert d1 == d2 and hash(d1) == hash(d2)
@@ -509,6 +542,17 @@ def test_figure5_too_deep_to_print_is_a_grid_error():
     for k2 in (31, 40):
         with pytest.raises(GridError, match=f"k2 = {k2} is too deep"):
             build_figure5(k2, F(1, 4))
+
+
+def test_figure5_depth_is_bounded_with_the_digit_limit_off():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for extra in ({}, {"beta0_sq": "1/1024"}):
+            with pytest.raises(GridError, match="k2 = 400 is too deep"):
+                grid_from_json({"model": "figure5", "k2": 400, "alpha0_sq": "1/4", **extra})
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_window_report_json_shape():
