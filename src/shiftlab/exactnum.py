@@ -8,19 +8,25 @@ exact questions answered here:
 * is ``A1*A2 >= (sqrt(P) - sqrt(Q))**2`` for rational ``A1, A2, P, Q``,
 * is a rational-coefficient polynomial nonnegative on a rational interval.
 
-The first is settled by one exact symmetric (LDL^T) elimination with a
-zero-pivot rule, the second by eliminating the radical (compare
-``L = A1*A2 - P - Q`` against ``-2*sqrt(P*Q)`` via squaring), and the third
-by a ladder of certificates: endpoint signs, a closed form up to degree 2,
-nonnegative Bernstein coefficients on the interval or on its two halves,
-and last one Sturm count of the odd-multiplicity roots with one interior
-sign sample, the one complete method for every degree.
+The first is settled by one fraction-free symmetric elimination on integers
+(Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968) with a zero-pivot rule, the second by
+eliminating the radical (compare ``L = A1*A2 - P - Q`` against
+``-2*sqrt(P*Q)`` via squaring), and the third by a ladder of certificates:
+endpoint signs, a closed form up to degree 2, nonnegative Bernstein
+coefficients on the interval or on its two halves, and last one Sturm count
+of the odd-multiplicity roots with one interior sign sample, the one
+complete method for every degree.
 
-The radical test accepts ints as well as Fractions, and its verdict does
-not change when ``A1`` is scaled by ``s1 > 0``, ``A2`` by ``s2 > 0`` and
-``P``, ``Q`` by ``s1*s2``.  A caller holding numerators and denominators
-can therefore clear them and ask on integers, with no gcd on the way
-(`shiftlab.shift2d.six_point_data` does).
+Both matrix tests accept ints as well as Fractions.  A positive multiple of
+a matrix is PSD exactly when the matrix is, so the PSD test clears the
+denominators by their least common multiple and eliminates on integers; a
+caller that knows a positive multiple with integer entries can pass that
+instead (`shiftlab.shift1d.hankel_psd` does).  The verdict of the radical
+test does not change when ``A1`` is scaled by ``s1 > 0``, ``A2`` by
+``s2 > 0`` and ``P``, ``Q`` by ``s1*s2``.  A caller holding numerators and
+denominators can therefore clear them and ask on integers, with no gcd on
+the way (`shiftlab.shift2d.six_point_data` does).
 No floating point is used anywhere in this module.
 
 Polynomials are plain lists of Fractions in ascending degree order,
@@ -33,7 +39,7 @@ import re
 import sys
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 MAX_MATRIX_ORDER = 8
 
@@ -182,16 +188,28 @@ def _check_symmetric(rows: Matrix) -> int:
 
 
 def psd_check(rows: Matrix) -> bool:
-    """Decide positive semidefiniteness of a small symmetric rational matrix.
+    """Decide positive semidefiniteness of a small symmetric matrix of ints
+    or Fractions.
 
-    One exact symmetric (LDL^T) elimination: step k takes the pivot
-    d = a[k][k] of the current Schur complement.  A negative pivot means not
-    PSD.  A zero pivot is harmless only when the rest of its row is zero too
-    (the row then drops out of every later complement); a zero pivot with a
-    nonzero entry b beside it means not PSD, since that 2 x 2 principal
-    minor is det [[0, b], [b, c]] = -b**2 < 0.  Otherwise the rows below are
-    eliminated.  The rule is complete for symmetric matrices and costs
-    O(n**3).
+    The entries are first multiplied by the least common multiple of their
+    denominators; a positive multiple is PSD exactly when the matrix is.
+    Then one symmetric Bareiss elimination runs on integers: step k takes
+    the pivot d = a[k][k] and updates every later entry as
+    ``a[i][j] = (d*a[i][j] - a[k][i]*a[k][j]) // prev``, where prev is the
+    previous nonzero pivot (1 at the start).  Entry (i, j) is then the
+    minor of rows S + [i] and columns S + [j], S the indices whose pivots
+    were used; Sylvester's identity says that d*a[i][j] - a[k][i]*a[k][j]
+    equals that minor after k joins S times det A[S, S] = prev, so the
+    division is exact.  Each entry is det A[S, S] > 0 times the
+    corresponding entry of the Schur complement of A[S, S], so the signs
+    are those of the symmetric (LDL^T) elimination, and its rule decides:
+    a negative pivot means not PSD; a zero pivot with a nonzero entry b
+    beside it means not PSD, since that 2 x 2 principal minor is
+    det [[0, b], [b, c]] = -b**2 < 0; a zero pivot whose row is zero drops
+    out of every later complement.  Such a pivot is skipped and prev is
+    kept, because S, and with it det A[S, S], is unchanged.  The rule is
+    complete for symmetric matrices and costs O(n**3) integer operations,
+    each on minors of the cleared matrix.
 
     >>> one = Fraction(1)
     >>> psd_check([[one, one/2], [one/2, one/3]])
@@ -200,10 +218,20 @@ def psd_check(rows: Matrix) -> bool:
     False
     >>> psd_check([[one, one], [one, one]])
     True
+
+    The first matrix cleared by 6, and a singular integer matrix whose
+    second pivot is zero with a zero row:
+
+    >>> psd_check([[6, 3], [3, 2]])
+    True
+    >>> psd_check([[1, 1, 2], [1, 1, 2], [2, 2, 5]])
+    True
     """
     n = _check_symmetric(rows)
-    # Only the upper triangle is kept current; the complement stays symmetric.
-    a = [list(row) for row in rows]
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    # Only the upper triangle is kept current; the elimination stays symmetric.
+    a = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    prev = 1
     for k in range(n):
         pivot_row = a[k]
         d = pivot_row[k]
@@ -213,13 +241,12 @@ def psd_check(rows: Matrix) -> bool:
             if any(pivot_row[k + 1 :]):
                 return False
             continue
-        inv = 1 / Fraction(d)  # exact even when the entries are ints
         for i in range(k + 1, n):
-            factor = pivot_row[i] * inv
-            if factor:
-                row = a[i]
-                for j in range(i, n):
-                    row[j] -= factor * pivot_row[j]
+            b = pivot_row[i]
+            row = a[i]
+            for j in range(i, n):
+                row[j] = (d * row[j] - b * pivot_row[j]) // prev
+        prev = d
     return True
 
 

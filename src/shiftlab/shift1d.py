@@ -190,22 +190,57 @@ def hankel_matrix(w: WeightSeq, order: int, base: int) -> Matrix:
     return [[gammas[base + i + j] for j in range(order + 1)] for i in range(order + 1)]
 
 
+def _cleared_hankel(weights: list[Fraction], order: int) -> list[list[int]]:
+    """The integer multiple of a moment Hankel matrix that hankel_psd tests,
+    from the 2 * order squared weights at and after its base."""
+    size = 2 * order + 1
+    entries = [1] * size
+    for t, q in enumerate(weights):
+        entries[t + 1] = entries[t] * q.numerator
+    suffix = 1
+    for t in range(size - 2, -1, -1):
+        suffix *= weights[t].denominator
+        entries[t] *= suffix
+    return [entries[i : i + order + 1] for i in range(order + 1)]
+
+
 def hankel_psd(w: WeightSeq, order: int, base: int) -> bool:
-    """PSD of the moment Hankel matrix.
+    """PSD of the moment Hankel matrix H = (gamma_(base+i+j)).
 
     Order 1 is hyponormality at one site; order 2 matches the stated
     3 x 3 moment-matrix test; larger orders are the natural extension of the
     same pattern and are used only by the witness search below.
+
+    The test runs on integers.  With w_(base+s) = n_s/d_s for s < 2*order
+    and P = prod d_s, the matrix (P/gamma_base) * H has entry t = i + j
+
+        prod_(s<t) n_s * prod_(t<=s<2*order) d_s,
+
+    one prefix product of the numerators times one suffix product of the
+    denominators.  P/gamma_base > 0, so it is PSD exactly when H is.
     """
-    return psd_check(hankel_matrix(w, order, base))
+    if order < 1 or base < 0:
+        raise ShiftError(f"need order >= 1 and base >= 0, got {order}, {base}")
+    return psd_check(_cleared_hankel([w.weight_sq(base + s) for s in range(2 * order)], order))
 
 
 def khypo_witness(w: WeightSeq, order: int, window: int) -> int | None:
     """First base in [0, window] whose Hankel matrix of this order is not
-    PSD, or None when the shift is order-hyponormal on the window."""
+    PSD, or None when the shift is order-hyponormal on the window.
+
+    Each weight is read once, in index order and only as far as the base
+    being tested needs, so a finite sequence fails at its first missing
+    index and only when a base reaches it.
+    """
     if order < 1 or window < 0:
         raise ShiftError(f"need order >= 1 and window >= 0, got {order}, {window}")
-    return next((b for b in range(window + 1) if not hankel_psd(w, order, b)), None)
+    weights: list[Fraction] = []
+    for base in range(window + 1):
+        while len(weights) < base + 2 * order:
+            weights.append(w.weight_sq(len(weights)))
+        if not psd_check(_cleared_hankel(weights[base : base + 2 * order], order)):
+            return base
+    return None
 
 
 def bergman_like_hankel2_det(ell: int, k: int, gamma_k: Fraction) -> Fraction:

@@ -229,6 +229,27 @@ def test_check_khypo_order_bounds(capsys, specs):
         assert code == 2 and "1..6" in err
 
 
+_BASE_1_FAILS = "1-hyponormal on window 6: FAIL\n  moment matrix of order 1 based at 1 is not PSD\n"
+
+
+@pytest.mark.parametrize(
+    ("prefix", "code", "out", "err"),
+    [
+        (["1/2", "1/2", "1/4", "1"], 1, _BASE_1_FAILS, ""),
+        (["1/2", "1/2"], 2, "", "error: finite weight sequence has no index 2\n"),
+    ],
+    ids=["witness_inside_the_prefix", "scan_past_the_prefix"],
+)
+def test_check_khypo_reads_a_finite_sequence_only_as_far_as_it_scans(tmp_path, capsys, prefix, code, out, err):
+    # base 0 is PSD and base 1 fails, reading up to index 2: the first
+    # sequence has it, the second does not; reading the whole window first
+    # would make both exit 2
+    path = tmp_path / "finite.json"
+    path.write_text(json.dumps({"prefix_sq": prefix, "tail": {"kind": "none"}}), encoding="utf-8")
+    result = run(capsys, ["check-khypo", str(path), "--k", "1", "--window", "6"])
+    assert result == (code, out, err)
+
+
 # ---------------------------------------------------------------------------
 # two-variable windows
 

@@ -5,7 +5,7 @@ import sys
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -598,6 +598,69 @@ def _near_psd_symmetric(draw):
 @settings(max_examples=300, deadline=None)
 def test_psd_check_agrees_with_principal_minors(rows):
     assert psd_check(rows) == _psd_by_principal_minors(rows)
+
+
+def _psd_by_fraction_ldl(rows) -> bool:
+    """Reference: the symmetric LDL^T elimination on Fractions, with the same
+    zero-pivot rule, that psd_check ran before it eliminated on integers."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    for k in range(n):
+        pivot_row = a[k]
+        d = pivot_row[k]
+        if d < 0:
+            return False
+        if d == 0:
+            if any(pivot_row[k + 1 :]):
+                return False
+            continue
+        for i in range(k + 1, n):
+            factor = pivot_row[i] / d
+            if factor:
+                row = a[i]
+                for j in range(i, n):
+                    row[j] -= factor * pivot_row[j]
+    return True
+
+
+def _cleared(rows):
+    """The matrix times the least common multiple of its denominators, as ints."""
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return [[int(x * scale) for x in row] for row in rows]
+
+
+@st.composite
+def _atomic_moment_hankel(draw):
+    """Hankel matrices (m_(i+j)) of order 1-6 of the moments of a measure
+    with 1-4 atoms in [0, 1] (singular once the order reaches the number of
+    atoms), half of them with one moment perturbed."""
+    atoms = draw(
+        st.lists(
+            st.tuples(st.fractions(0, 1, max_denominator=12), st.fractions(Fraction(1, 12), 1, max_denominator=12)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    order = draw(st.integers(1, 6))
+    moments = [sum((mass * x**t for x, mass in atoms), Fraction(0)) for t in range(2 * order + 1)]
+    if draw(st.booleans()):
+        t = draw(st.integers(0, 2 * order))
+        moments[t] += draw(st.fractions(Fraction(-1, 100), Fraction(1, 100), max_denominator=10**4).filter(bool))
+    return [[moments[i + j] for j in range(order + 1)] for i in range(order + 1)]
+
+
+@given(_atomic_moment_hankel())
+@settings(max_examples=300, deadline=None)
+def test_psd_check_agrees_with_fraction_ldl_on_atomic_hankels(rows):
+    expected = _psd_by_fraction_ldl(rows)
+    assert psd_check(rows) == expected
+    assert psd_check(_cleared(rows)) == expected
+
+
+@given(_near_psd_symmetric())
+@settings(max_examples=300, deadline=None)
+def test_psd_check_agrees_with_fraction_ldl_on_cleared_matrices(rows):
+    assert psd_check(_cleared(rows)) == _psd_by_fraction_ldl(rows) == psd_check(rows)
 
 
 def test_psd_check_zero_pivot_rule():

@@ -1,6 +1,7 @@
 """Single-variable weighted shifts: moments, Hankel positivity, audits."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from shiftlab.measures import MeasureError, combine1d, delta, density, lebesgue,
 from shiftlab.shift1d import (
     ShiftError,
     WeightTail,
+    _cleared_hankel,
     alpha_family,
     alpha_family_reciprocal_product,
     bergman_like,
@@ -29,6 +31,7 @@ from shiftlab.shift1d import (
     verify_berger,
     weights_from_json,
 )
+from test_exactnum import _psd_by_fraction_ldl
 
 F = Fraction
 
@@ -192,6 +195,43 @@ def test_singular_hankels_of_atomic_shifts_are_psd(w):
         for base in range(4):
             assert hankel_det(w, order, base) == 0
             assert hankel_psd(w, order, base)
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        bergman_like(1),
+        bergman_like(3),
+        alpha_family(),
+        beta_r_family(F(16, 25)),
+        unilateral(),
+        make_weights((), WeightTail("constant", F(7, 5))),
+        flat_shift(F(1, 3)),
+        witness_shift(),
+        make_weights((F(2, 3), F(1, 2), F(5, 7), F(3, 4)), WeightTail("constant", F(9, 8))),
+        make_weights((F(7, 9), F(11, 6)), WeightTail("bergman_like", 2)),
+    ],
+    ids=[
+        "bergman1",
+        "bergman3",
+        "alpha_family",
+        "beta_r_family",
+        "unilateral",
+        "constant_tail",
+        "flat",
+        "equal_pair",
+        "prefix_constant",
+        "prefix_bergman",
+    ],
+)
+def test_cleared_hankel_is_the_scaled_moment_matrix(w):
+    for order in range(1, 7):
+        for base in range(6):
+            weights = [w.weight_sq(base + s) for s in range(2 * order)]
+            scale = prod(q.denominator for q in weights) / w.gamma(base)[base]
+            rows = hankel_matrix(w, order, base)
+            assert _cleared_hankel(weights, order) == [[scale * g for g in row] for row in rows]
+            assert hankel_psd(w, order, base) == _psd_by_fraction_ldl(rows)
 
 
 def test_closed_form_matches_expanded_determinant():
