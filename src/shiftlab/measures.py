@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 from .exactnum import (
@@ -91,27 +92,27 @@ class Measure1D:
     # -- mass and moments
 
     def total_mass(self) -> Fraction:
-        mass = sum((m for _, m in self.atoms), Fraction(0))
-        for seg in self.segments:
-            mass += _segment_integral(list(seg.coeffs), seg.lo, seg.hi)
-        return mass
+        return self.moment(0)
 
     def is_probability(self) -> bool:
         return self.total_mass() == 1
 
     def moment(self, n: int) -> Fraction:
+        """The n-th moment, computed on integers: an atom of mass c/d at a/b
+        adds c * a**n / (d * b**n), so L times the atoms' sum, for L the lcm
+        of the d * b**n, is the integer sum of c * a**n * (L // (d * b**n)),
+        reduced once; each segment adds one :func:`_segment_integral`."""
         if n < 0:
             raise MeasureError(f"moment order must be >= 0, got {n}")
-        total = sum((m * x**n for x, m in self.atoms), Fraction(0))
+        parts = [(m.numerator * x.numerator**n, m.denominator * x.denominator**n) for x, m in self.atoms]
+        den = lcm(*(d for _, d in parts))
+        total = Fraction(sum(c * (den // d) for c, d in parts), den)
         for seg in self.segments:
             total += _segment_integral(poly_shift_up(list(seg.coeffs), n), seg.lo, seg.hi)
         return total
 
     def atom_mass(self, point: Fraction) -> Fraction:
-        for x, m in self.atoms:
-            if x == point:
-                return m
-        return Fraction(0)
+        return dict(self.atoms).get(point, Fraction(0))
 
     # -- 1/t calculus
 
@@ -130,10 +131,8 @@ class Measure1D:
             raise NegativePartError("cannot scale a measure by a negative factor")
         if c == 0:
             return ZERO_1D
-        return Measure1D(
-            tuple((x, c * m) for x, m in self.atoms),
-            tuple(Segment(tuple(poly_scale(list(s.coeffs), c)), s.lo, s.hi) for s in self.segments),
-        )
+        segments = tuple(Segment(tuple(poly_scale(list(s.coeffs), c)), s.lo, s.hi) for s in self.segments)
+        return Measure1D(tuple((x, c * m) for x, m in self.atoms), segments)
 
     def restriction(self, h: int) -> "Measure1D":
         """The renormalized h-th moment reweighting (1/gamma_h) t**h dmu.
@@ -167,11 +166,23 @@ class Measure1D:
 
 
 def _segment_integral(coeffs: Poly, lo: Fraction, hi: Fraction) -> Fraction:
-    total = Fraction(0)
+    """The integral over [lo, hi] of sum c_k t**k, on integers.
+
+    Over e, the lcm of the endpoints' denominators, lo = a/e and hi = b/e;
+    over D, the lcm of the (k+1) * den(c_k), r_k = num(c_k) * D / ((k+1) *
+    den(c_k)) is an integer.  D * e**K times the integral (K = len(coeffs))
+    is then the integer sum of r_k * (b**(k+1) - a**(k+1)) * e**(K-1-k),
+    which one Horner pass in e adds up while the powers of a and b grow a
+    factor at a time; the quotient is reduced once."""
+    e = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (e // lo.denominator), hi.numerator * (e // hi.denominator)
+    den = lcm(*((k + 1) * c.denominator for k, c in enumerate(coeffs) if c))
+    total, a_pow, b_pow = 0, 1, 1
     for k, c in enumerate(coeffs):
+        a_pow, b_pow, total = a_pow * a, b_pow * b, total * e
         if c:
-            total += c * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
-    return total
+            total += c.numerator * (den // ((k + 1) * c.denominator)) * (b_pow - a_pow)
+    return Fraction(total, den * e ** len(coeffs))
 
 
 RawAtom = tuple[Fraction, Fraction]
@@ -299,11 +310,10 @@ def measure1d_from_json(obj: object, where: str = "measure") -> Measure1D:
         raise MeasureError(f"{where}: unknown keys {sorted(unknown)}")
     atoms = []
     for i, pair in enumerate(parse_list_field(obj.get("atoms", []), f"{where}.atoms", MeasureError)):
+        at = f"{where}.atoms[{i}]"
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise MeasureError(f"{where}.atoms[{i}]: expected [point, mass]")
-        point = parse_rational_field(pair[0], f"{where}.atoms[{i}][0]", MeasureError)
-        mass = parse_rational_field(pair[1], f"{where}.atoms[{i}][1]", MeasureError)
-        atoms.append((point, mass))
+            raise MeasureError(f"{at}: expected [point, mass]")
+        atoms.append(tuple(parse_rational_field(v, f"{at}[{j}]", MeasureError) for j, v in enumerate(pair)))
     segments = []
     for i, seg in enumerate(parse_list_field(obj.get("segments", []), f"{where}.segments", MeasureError)):
         if not isinstance(seg, dict) or not {"coeffs", "lo", "hi"} <= set(seg):
@@ -313,9 +323,7 @@ def measure1d_from_json(obj: object, where: str = "measure") -> Measure1D:
             parse_rational_field(c, f"{at}.coeffs[{j}]", MeasureError)
             for j, c in enumerate(parse_list_field(seg["coeffs"], f"{at}.coeffs", MeasureError))
         ]
-        lo = parse_rational_field(seg["lo"], f"{at}.lo", MeasureError)
-        hi = parse_rational_field(seg["hi"], f"{at}.hi", MeasureError)
-        segments.append((coeffs, lo, hi))
+        segments.append((coeffs, *(parse_rational_field(seg[k], f"{at}.{k}", MeasureError) for k in ("lo", "hi"))))
     return make1d(atoms, segments)
 
 
@@ -352,10 +360,7 @@ class Measure2D:
         return self.total_mass() == 1
 
     def moment(self, j: int, k: int) -> Fraction:
-        return sum(
-            (t.coeff * t.s_part.moment(j) * t.t_part.moment(k) for t in self.terms),
-            Fraction(0),
-        )
+        return sum((t.coeff * t.s_part.moment(j) * t.t_part.moment(k) for t in self.terms), Fraction(0))
 
     def inv_t_norm(self) -> NormValue:
         total = Fraction(0)
@@ -458,12 +463,7 @@ def backward_ext_1var(eta_m: Measure1D, beta0_sq: Fraction) -> ExtensionResult:
         return ExtensionResult(False, "i", None, norm)
     if beta0_sq * norm > 1:
         return ExtensionResult(False, "ii", None, norm)
-    extended = combine1d(
-        [
-            (beta0_sq, _divide_by_t(eta_m)),
-            (Fraction(1) - beta0_sq * norm, delta(Fraction(0))),
-        ]
-    )
+    extended = combine1d([(beta0_sq, _divide_by_t(eta_m)), (1 - beta0_sq * norm, delta(Fraction(0)))])
     return ExtensionResult(True, None, extended, norm)
 
 

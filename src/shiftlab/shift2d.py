@@ -28,7 +28,7 @@ from typing import Callable, Iterator
 
 from .exactnum import format_rational, parse_list_field, parse_rational_field, psd2_radical_cross
 from .measures import Measure1D, backward_ext_2var, density, make1d, make2d
-from .shift1d import WeightSeq, alpha_family, bergman_like, flat_shift, unilateral, weights_from_json
+from .shift1d import WeightSeq, WeightTail, alpha_family, bergman_like, flat_shift, unilateral, weights_from_json
 
 Index = tuple[int, int]
 
@@ -743,15 +743,15 @@ def _figure5_report(k2: int, alpha0_sq: Fraction, seeds: list[Fraction], chain: 
 
 
 def build_sfc_grid(xi: Measure1D, eta1: Measure1D, a_sq: Fraction, y0_sq: Fraction) -> ShiftGrid2D:
-    """Level 0 is the shift of xi, level k2 >= 1 the flat shift
-    a_sq / m_(k2-1), 1, 1, ... with m the moments of eta1; the column seeds
-    are y0_sq, then the shift of eta1.  Both measures are taken to be
-    probability measures, as `sfc.make_params` ensures."""
-    a_sq = Fraction(a_sq)
-    y0_sq = Fraction(y0_sq)
+    """Level 0 is the shift of xi; level k2 >= 1 is the flat shift
+    a_sq / m_(k2-1), 1, 1, ... with m the moments of eta1, built without
+    `make_weights` since a_sq > 0 and each m_k > 0; the column seeds are
+    y0_sq, then the shift of eta1.  Both measures are probability measures
+    and eta1 has no atom at 0, as `sfc.make_params` ensures."""
+    a_sq, y0_sq = Fraction(a_sq), Fraction(y0_sq)
     if a_sq <= 0 or y0_sq <= 0:
         raise GridError("need positive a_sq and y0_sq")
-    row0, column = _MomentShift(xi), _MomentShift(eta1)
+    row0, column, ones = _MomentShift(xi), _MomentShift(eta1), WeightTail("constant", Fraction(1))
     spec = {
         "model": "sfc",
         "xi": xi.to_json_obj(),
@@ -761,7 +761,7 @@ def build_sfc_grid(xi: Measure1D, eta1: Measure1D, a_sq: Fraction, y0_sq: Fracti
     }
     return ShiftGrid2D(
         "sfc",
-        lambda k2: row0 if k2 == 0 else flat_shift(a_sq / column.moment(k2 - 1)),
+        lambda k2: row0 if k2 == 0 else WeightSeq((a_sq / column.moment(k2 - 1),), ones),
         lambda k2: y0_sq if k2 == 0 else column.weight_sq(k2 - 1),
         spec,
     )

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from shiftlab.exactnum import poly_scale, poly_shift_up
 from shiftlab.measures import (
     INFINITE,
+    Measure1D,
     Measure2D,
     MeasureError,
     NegativePartError,
     ProductTerm,
+    Segment,
     UnsupportedDensityError,
     _divide_by_t,
     _s_components,
@@ -400,7 +402,7 @@ def _ref_inv_t_norm(mu):
             if seg.lo == 0:
                 return INFINITE
             raise UnsupportedDensityError("logarithmic 1/t integral")
-        total += _segment_integral(coeffs[1:], seg.lo, seg.hi)
+        total += _ref_segment_integral(coeffs[1:], seg.lo, seg.hi)
     return total
 
 
@@ -629,3 +631,72 @@ def test_backward_ext_2var_equals_the_two_step_reference(terms, nu, share, exces
         assert result.failed == "iii"
     else:
         assert result.ok and result.measure == expected
+
+
+# ---------------------------------------------------------------------------
+# the integer moment kernel against the Fraction sums it replaced
+#
+# The references are the earlier routines: one reduced Fraction per atom and
+# per polynomial term.  The kernel clears denominators once per piece; the
+# two must agree exactly on any data, signed and not canonical included.
+
+
+def _ref_segment_integral(coeffs, lo, hi):
+    total = F(0)
+    for k, c in enumerate(coeffs):
+        if c:
+            total += c * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+    return total
+
+
+def _ref_moment(mu, n):
+    total = sum((m * x**n for x, m in mu.atoms), F(0))
+    for seg in mu.segments:
+        total += _ref_segment_integral(poly_shift_up(list(seg.coeffs), n), seg.lo, seg.hi)
+    return total
+
+
+_points = st.fractions(min_value=0, max_value=3, max_denominator=30)
+_signed = st.fractions(min_value=-5, max_value=5, max_denominator=30)
+
+
+@st.composite
+def _signed_measures(draw):
+    """Atoms and pieces as drawn, not canonicalized: signed masses and
+    coefficients, pieces from 0 and from lo > 0, overlapping or of zero
+    length."""
+    atoms = draw(st.lists(st.tuples(_points, _signed), max_size=5))
+    segments = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        lo, hi = sorted(draw(st.tuples(_points, _points)))
+        segments.append(Segment(tuple(draw(st.lists(_signed, min_size=1, max_size=7))), lo, hi))
+    return Measure1D(tuple(atoms), tuple(segments))
+
+
+@given(mu=_signed_measures())
+@settings(max_examples=200, deadline=None)
+def test_integer_moments_equal_the_fraction_sums(mu):
+    for n in range(31):
+        moment = mu.moment(n)
+        assert type(moment) is F and moment == _ref_moment(mu, n)
+    assert mu.total_mass() == mu.moment(0)
+    for seg in mu.segments:
+        assert _segment_integral(list(seg.coeffs), seg.lo, seg.hi) == _ref_segment_integral(seg.coeffs, seg.lo, seg.hi)
+    ref_norm, norm = _outcome(_ref_inv_t_norm, mu), _outcome(mu.inv_t_norm)
+    if isinstance(ref_norm, tuple):
+        assert isinstance(norm, tuple) and norm[0] is ref_norm[0] is UnsupportedDensityError
+    else:
+        assert norm == ref_norm
+
+
+def test_integer_moments_with_wide_denominators():
+    # 200 atoms whose points and masses have distinct prime denominators, and
+    # a degree-8 density on [1/3, 7/11]: for n >= 1 the atoms' lcm is a
+    # product of powers of 400 primes
+    primes = [p for p in range(2, 3000) if all(p % q for q in range(2, int(p**0.5) + 1))][:400]
+    atoms = tuple((F(p // 2, p), F(1, q)) for p, q in zip(primes[::2], primes[1::2]))
+    coeffs = tuple(F((-1) ** k * (k + 2), 2 * k + 3) for k in range(9))
+    mu = Measure1D(atoms, (Segment(coeffs, F(1, 3), F(7, 11)),))
+    for n in range(13):
+        assert mu.moment(n) == _ref_moment(mu, n)
+    assert mu.total_mass() == _ref_moment(mu, 0)
