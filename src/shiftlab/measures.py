@@ -489,12 +489,11 @@ def backward_ext_2var(mu_m: Measure2D, xi: Measure1D, beta00_sq: Fraction) -> Ex
         return ExtensionResult(False, "i", None, norm)
     if beta00_sq * norm > 1:
         return ExtensionResult(False, "ii", None, norm)
-    ext = extremal(mu_m)
-    share = beta00_sq * norm
+    # the finite norm leaves no t-mass at 0, so each t-factor divides as it is
+    terms = [(beta00_sq * t.coeff, t.s_part, _divide_by_t(t.t_part)) for t in mu_m.terms]
     try:
-        remainder = combine1d([(Fraction(1), xi)] + [(-share * t.coeff, t.s_part) for t in ext.terms])
+        remainder = combine1d([(Fraction(1), xi)] + [(-c * t_part.total_mass(), s_part) for c, s_part, t_part in terms])
     except NegativePartError:
         return ExtensionResult(False, "iii", None, norm)
-    terms = [(share * t.coeff, t.s_part, t.t_part) for t in ext.terms]
     terms.append((Fraction(1), remainder, delta(Fraction(0))))
     return ExtensionResult(True, None, make2d(terms), norm)

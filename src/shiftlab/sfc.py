@@ -45,11 +45,7 @@ class SFCError(ValueError):
 @dataclass(frozen=True)
 class SFCParams:
     """Measure data plus the free weights, with the derived quantities the
-    thresholds consume.
-
-    The atom masses of eta at 0 and 1 are carried for completeness but no
-    threshold reads them; the masses of xi at 0 and 1 enter s_sq.
-    """
+    thresholds consume; the masses of xi at 0 and 1 enter s_sq."""
 
     xi: Measure1D
     eta: Measure1D
@@ -62,8 +58,6 @@ class SFCParams:
     inv_t_norm: NormValue
     xi_at_zero: Fraction
     xi_at_one: Fraction
-    eta_at_zero: Fraction
-    eta_at_one: Fraction
 
 
 def make_params(xi: Measure1D, eta: Measure1D, a_sq: Fraction, y0_sq: Fraction) -> SFCParams:
@@ -102,8 +96,6 @@ def make_params(xi: Measure1D, eta: Measure1D, a_sq: Fraction, y0_sq: Fraction) 
         inv_t_norm=eta1.inv_t_norm(),
         xi_at_zero=xi.atom_mass(Fraction(0)),
         xi_at_one=xi.atom_mass(Fraction(1)),
-        eta_at_zero=eta.atom_mass(Fraction(0)),
-        eta_at_one=eta.atom_mass(Fraction(1)),
     )
 
 

@@ -9,17 +9,44 @@ arithmetic; unsquared weights are never materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .exactnum import Matrix, format_rational, matrix_det, parse_list_field, parse_rational_field, psd_check
 from .measures import Measure1D, MeasureError
 
-TAIL_KINDS = ("constant", "bergman_like", "alpha_family", "beta_r_family", "none")
-
 
 class ShiftError(ValueError):
     """Invalid weight data or an index past a finite sequence."""
+
+
+class _TailRule(NamedTuple):
+    """What a tail kind means: its value ("rational" > 0, "integer" >= 1 or
+    None for no value), its squared weight at tail index j, and the limit its
+    weights rise to from j = 1 on.  A kind with no weight rule has no tail."""
+
+    value: str | None
+    weight: Callable[[Fraction | int | None, int], Fraction] | None
+    limit: Callable[[Fraction | int | None], Fraction] | None
+
+
+def _alpha_family_weight(_: None, j: int) -> Fraction:
+    return Fraction(2 * 2**j + 1, 2 * 2**j + 2) if j else Fraction(1, 2)
+
+
+def _beta_r_family_weight(r_sq: Fraction, j: int) -> Fraction:
+    return Fraction((j + 1) * (j + 3), (j + 2) ** 2) if j else Fraction(3, 4) * r_sq
+
+
+_TAIL_RULES = {
+    "constant": _TailRule("rational", lambda c, j: c, lambda c: c),
+    "bergman_like": _TailRule("integer", lambda ell, j: Fraction(ell * (j + 2) - 1, j + 2), Fraction),
+    "alpha_family": _TailRule(None, _alpha_family_weight, lambda _: Fraction(1)),
+    "beta_r_family": _TailRule("rational", _beta_r_family_weight, lambda _: Fraction(1)),
+    "none": _TailRule(None, None, None),
+}
+TAIL_KINDS = tuple(_TAIL_RULES)
 
 
 @dataclass(frozen=True)
@@ -34,67 +61,38 @@ class WeightSeq:
 
     prefix_sq: tuple[Fraction, ...]
     tail: WeightTail
-    # Cumulative products gamma_0, gamma_1, ... computed so far; grown by gamma().
-    _gammas: list[Fraction] = field(
-        default_factory=lambda: [Fraction(1)], init=False, compare=False, hash=False, repr=False
-    )
 
     def weight_sq(self, k: int) -> Fraction:
         if k < 0:
             raise ShiftError(f"negative index {k}")
         if k < len(self.prefix_sq):
             return self.prefix_sq[k]
-        j = k - len(self.prefix_sq)
-        kind, value = self.tail.kind, self.tail.value
-        if kind == "constant":
-            return value
-        if kind == "bergman_like":
-            return value - Fraction(1, j + 2)
-        if kind == "alpha_family":
-            if j == 0:
-                return Fraction(1, 2)
-            p = 2**j
-            return Fraction(2 * p + 1, 2 * (p + 1))
-        if kind == "beta_r_family":
-            if j == 0:
-                return Fraction(3, 4) * value
-            return Fraction((j + 1) * (j + 3), (j + 2) ** 2)
-        raise ShiftError(f"finite weight sequence has no index {k}")
+        weight = _TAIL_RULES[self.tail.kind].weight
+        if weight is None:
+            raise ShiftError(f"finite weight sequence has no index {k}")
+        return weight(self.tail.value, k - len(self.prefix_sq))
 
     def sup_weight_sq(self) -> Fraction:
-        """Exact supremum of the squared weights (tail rules are monotone)."""
-        prefix_max = max(self.prefix_sq, default=Fraction(0))
-        kind, value = self.tail.kind, self.tail.value
-        if kind == "constant":
-            tail_sup = value
-        elif kind == "bergman_like":
-            tail_sup = Fraction(value)
-        elif kind in ("alpha_family", "beta_r_family"):
-            tail_sup = Fraction(1)
-        else:
-            tail_sup = Fraction(0)
-        return max(prefix_max, tail_sup)
+        """Exact supremum of the squared weights: the largest of the prefix,
+        the first tail weight and the limit the later tail weights rise to."""
+        rule, value = _TAIL_RULES[self.tail.kind], self.tail.value
+        tail = () if rule.weight is None else (rule.weight(value, 0), rule.limit(value))
+        return max((*self.prefix_sq, *tail), default=Fraction(0))
 
     def gamma(self, up_to: int) -> list[Fraction]:
-        """Cumulative products [1, w0, w0*w1, ...] up to index up_to.
-
-        Products are memoized on the instance and extended on demand; each
-        call returns a fresh list, so callers may mutate what they receive.
-        """
+        """Cumulative products [1, w0, w0*w1, ...] up to index up_to."""
         if up_to < 0:
             raise ShiftError(f"negative moment bound {up_to}")
-        gammas = self._gammas
-        while len(gammas) <= up_to:
-            gammas.append(gammas[-1] * self.weight_sq(len(gammas) - 1))
-        return gammas[: up_to + 1]
+        gammas = [Fraction(1)]
+        for k in range(up_to):
+            gammas.append(gammas[-1] * self.weight_sq(k))
+        return gammas
 
     def to_json_obj(self) -> dict:
         tail: dict[str, object] = {"kind": self.tail.kind}
-        if self.tail.value is not None:
-            if self.tail.kind == "bergman_like":
-                tail["value"] = int(self.tail.value)
-            else:
-                tail["value"] = format_rational(self.tail.value)
+        value = self.tail.value
+        if value is not None:
+            tail["value"] = int(value) if _TAIL_RULES[self.tail.kind].value == "integer" else format_rational(value)
         return {
             "prefix_sq": [format_rational(w) for w in self.prefix_sq],
             "tail": tail,
@@ -108,13 +106,14 @@ def make_weights(prefix_sq=(), tail: WeightTail | None = None) -> WeightSeq:
     prefix = tuple(Fraction(w) for w in prefix_sq)
     if any(w <= 0 for w in prefix):
         raise ShiftError("squared weights must be positive")
-    if tail.kind in ("constant", "beta_r_family"):
+    value_rule = _TAIL_RULES[tail.kind].value
+    if value_rule == "rational":
         if not isinstance(tail.value, (int, Fraction)) or tail.value <= 0:
             raise ShiftError(f"{tail.kind} tail needs a positive rational value")
         tail = WeightTail(tail.kind, Fraction(tail.value))
-    elif tail.kind == "bergman_like":
+    elif value_rule == "integer":
         if not isinstance(tail.value, int) or tail.value < 1:
-            raise ShiftError("bergman_like tail needs an integer parameter >= 1")
+            raise ShiftError(f"{tail.kind} tail needs an integer parameter >= 1")
     elif tail.value is not None:
         raise ShiftError(f"tail kind {tail.kind!r} takes no value")
     return WeightSeq(prefix, tail)
@@ -157,7 +156,7 @@ def weights_from_json(obj: object, where: str = "weights") -> WeightSeq:
     value: Fraction | int | None
     if raw_value is None:
         value = None
-    elif kind == "bergman_like":
+    elif _TAIL_RULES[kind].value == "integer":
         if not isinstance(raw_value, int) or isinstance(raw_value, bool):
             raise ShiftError(f"{where}.tail.value: expected an integer")
         value = raw_value

@@ -21,6 +21,7 @@ first failing index wins as witness.
 from __future__ import annotations
 
 import functools
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -460,10 +461,6 @@ def build_totallyflat(x_row: WeightSeq, y_sq: Fraction) -> ShiftGrid2D:
 # Bergman-like parameter over a flat top)
 
 
-def _ceil_fraction(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
-
-
 def next_chain_param(p: int, q: int) -> int:
     """Smallest integer r > q with p*r >= 9 q**2 and
     (p - 1/2)(r - 1/2) >= 9 (q - 1/2)**2.
@@ -476,8 +473,8 @@ def next_chain_param(p: int, q: int) -> int:
     if not 0 < p < q:
         raise GridError(f"need 0 < p < q, got ({p}, {q})")
     half = Fraction(1, 2)
-    c1 = _ceil_fraction(Fraction(9 * q * q, p))
-    c2 = _ceil_fraction(9 * (q - half) ** 2 / (p - half) + half)
+    c1 = math.ceil(Fraction(9 * q * q, p))
+    c2 = math.ceil(9 * (q - half) ** 2 / (p - half) + half)
     r = max(c1, c2, q + 1)
     assert p * r >= 9 * q * q and (p - half) * (r - half) >= 9 * (q - half) ** 2
     return r

@@ -58,6 +58,10 @@ def specs(tmp_path):
             {"prefix_sq": ["1", "1/2"], "tail": {"kind": "constant", "value": "1/2"}},
         ),
         "finite": dump("finite.json", {"prefix_sq": ["1/2", "3/4"], "tail": {"kind": "none"}}),
+        "alpha": dump("alpha.json", {"prefix_sq": [], "tail": {"kind": "alpha_family"}}),
+        "betar": dump(
+            "betar.json", {"prefix_sq": ["1/5"], "tail": {"kind": "beta_r_family", "value": "16/25"}}
+        ),
         "fig9": dump("fig9.json", {"model": "figure9", "y_sq": "1/3"}),
         "fig5": dump(
             "fig5.json",
@@ -404,6 +408,10 @@ _GOLDEN = {
     "check-khypo finite --k 1 --window 6 --json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "check-khypo finite --k 2 --window 6 --json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "check-khypo finite --k 3 --window 6 --json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "moments alpha --window 6 --json": (0, "07fd21f7be05bd24476a95fb462d096229af85af91b363ef7a395cf1236dda11"),
+    "check-khypo alpha --k 2 --window 6 --json": (0, "ed20c37434d2fd4bbfa92a139ca3b91e1179215944169d779e558b2c9b1cc71d"),
+    "moments betar --window 6 --json": (0, "653acf06d58e60a1e11b97974c3724d675b13aac08a23dfa67a40eb19ac3dc09"),
+    "check-khypo betar --k 2 --window 6 --json": (1, "9a7827722554b2f4bd5156c87c4553d7d4d945e4e20838456478094837a55094"),
     "sixpoint fig9 --window 6 4 --json": (0, "dc5a09acf7f5661b767fcc2efc4ce25cdd985bd10b0e2de4d1e506844ff578a2"),
     "joint fig9 --window 12 6 --json": (0, "ac7200bba293dd1e7de08fb216826e2fa7accc6de16a189d943d132ee86765f8"),
     "sixpoint fig5 --window 6 4 --json": (0, "17e69c5cb925974dd82c997a1da48de22fe6abdca490d32dbac74539df2c9621"),
@@ -757,6 +765,16 @@ def test_spec_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
     code, out, err = run(capsys, ["joint", str(path), "--window", "2", "2"])
     assert code == 2 and out == ""
     assert err == f"error: {path}: not UTF-8 text (invalid start byte at byte 30)\n"
+
+
+def test_totally_flat_row_above_one_is_an_input_error(tmp_path, capsys):
+    # a beta_r tail starts at (3/4) r^2, so r^2 = 2 puts the first weight at 3/2
+    x_row = {"prefix_sq": [], "tail": {"kind": "beta_r_family", "value": "2"}}
+    path = tmp_path / "betar_row.json"
+    path.write_text(json.dumps({"model": "totally_flat", "x_row": x_row, "y_sq": "1/2"}), encoding="utf-8")
+    code, out, err = run(capsys, ["joint", str(path), "--window", "4", "2"])
+    assert code == 2 and out == ""
+    assert err == "error: x row must be bounded by 1\n"
 
 
 def test_exponent_notation_is_an_input_error(tmp_path, capsys):

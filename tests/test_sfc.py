@@ -59,7 +59,6 @@ def test_family_derived_values():
         assert p.inv_t_norm == F(4, 3)
         assert p.y0_sq == F(3, 4) * r_sq
         assert p.xi_at_zero == p.xi_at_one == F(1, 3)
-        assert p.eta_at_one == r_sq / 2
 
 
 def test_family_window_is_enforced():

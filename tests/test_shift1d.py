@@ -1,7 +1,7 @@
 """Single-variable weighted shifts: moments, Hankel positivity, audits."""
 
 from fractions import Fraction
-from math import prod
+from math import ceil, prod
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from shiftlab.measures import MeasureError, combine1d, delta, density, lebesgue, make1d
 from shiftlab.shift1d import (
+    TAIL_KINDS,
     ShiftError,
     WeightTail,
     _cleared_hankel,
@@ -96,7 +97,22 @@ def test_sup_weight_sq():
     assert bergman_like(3).sup_weight_sq() == 3
     assert alpha_family().sup_weight_sq() == 1
     assert beta_r_family(F(4, 9)).sup_weight_sq() == 1
+    assert beta_r_family(F(2)).sup_weight_sq() == F(3, 2)
     assert make_weights((F(2),), WeightTail("constant", F(1))).sup_weight_sq() == 2
+
+
+@pytest.mark.parametrize("kind", TAIL_KINDS)
+@settings(max_examples=100, deadline=None)
+@given(
+    prefix=st.lists(st.fractions(F(1, 50), F(1), max_denominator=50), max_size=4),
+    value=st.fractions(F(1, 50), F(4), max_denominator=50),
+)
+def test_sup_weight_sq_bounds_every_weight(kind, prefix, value):
+    tail_value = {"bergman_like": ceil(value), "alpha_family": None, "none": None}.get(kind, value)
+    w = make_weights(prefix, WeightTail(kind, tail_value))
+    sup = w.sup_weight_sq()
+    for k in range(len(prefix) if kind == "none" else 41):
+        assert sup >= w.weight_sq(k)
 
 
 def test_make_weights_validation():
