@@ -14,8 +14,10 @@ given rather than derived.  Positivity tests route every 2 x 2 cross term
 through the exact radical-elimination comparison, asked on integers with the
 weights' denominators cleared; verdicts never touch floating point.
 
-Every window scan reads the grid in the order of `window_indices`, and the
-first failing index wins as witness.
+Every window scan walks the window in the order of `window_indices`, each
+level once, and the first failing index wins as witness.  The six-point
+scans read each weight once, carrying a level's upper row down as the next
+level's own.
 """
 
 from __future__ import annotations
@@ -160,8 +162,10 @@ def gamma2_up_first(g: ShiftGrid2D, k: Index) -> Fraction:
 @dataclass(frozen=True, eq=False)
 class SixPointData:
     """The six-point test at one index k: the verdict ``ok`` and the four
-    matrix entries as the unreduced (numerator, denominator) pairs ``terms``
-    that the test cleared, in the order a1, a2, p, q.
+    matrix entries as the unreduced (numerator, denominator) pairs ``terms``,
+    in the order a1, a2, p, q.  These are the report's pairs, each entry
+    over the product of its own weights' denominators; the radical test
+    clears the four over shared factors and scales them its own way.
 
     a1 = alpha_sq(k + e1) - alpha_sq(k), a2 = beta_sq(k + e2) - beta_sq(k),
     p = alpha_sq(k + e2) * beta_sq(k + e1) and q = alpha_sq(k) * beta_sq(k)
@@ -199,27 +203,46 @@ class SixPointData:
         return hash(self._entries())
 
 
-def six_point_data(g: ShiftGrid2D, k: Index) -> SixPointData:
-    """Six-point test at k on cleared denominators.
+_Pair = tuple[int, int]
 
-    With a1 = n1/d1, a2 = n2/d2, p = pn/pd and q = qn/qd formed without
-    reducing, the radical test is unchanged by scaling a1 by d1, a2 by
-    d2*pd*qd and p, q by d1*d2*pd*qd, so it runs on integers only."""
+
+def _pair(value: Fraction) -> _Pair:
+    return value.numerator, value.denominator
+
+
+def _six_point_kernel(
+    a: _Pair, a_right: _Pair, a_up: _Pair, b: _Pair, b_right: _Pair, b_up: _Pair
+) -> tuple[tuple[_Pair, _Pair, _Pair, _Pair], bool]:
+    """The report's terms and the verdict at one index, from its six
+    squared weights as (numerator, denominator) pairs.
+
+    With a1 = n1/d1, a2 = n2/(bud*bd), p = pn/u and q = qn/(ad*bd), where
+    d1 = ard*ad and u = aud*brd, the radical test is unchanged by scaling
+    a1 by d1, a2 by bud*bd*u and p, q by d1*bud*bd*u; each shared
+    denominator then appears once, and the test runs on integers only."""
+    an, ad = a
+    arn, ard = a_right
+    aun, aud = a_up
+    bn, bd = b
+    brn, brd = b_right
+    bun, bud = b_up
+    d1 = ard * ad
+    d2 = bud * bd
+    u = aud * brd
+    n1 = arn * ad - an * ard
+    n2 = bun * bd - bn * bud
+    pn = aun * brn
+    qn = an * bn
+    ok = psd2_radical_cross(n1, n2 * u, pn * d1 * d2, qn * ard * bud * u)
+    return ((n1, d1), (n2, d2), (pn, u), (qn, ad * bd)), ok
+
+
+def six_point_data(g: ShiftGrid2D, k: Index) -> SixPointData:
+    """Six-point test at k on cleared denominators."""
     k1, k2 = k
     a, a_right, a_up = g.alpha_sq(k1, k2), g.alpha_sq(k1 + 1, k2), g.alpha_sq(k1, k2 + 1)
     b, b_right, b_up = g.beta_sq(k1, k2), g.beta_sq(k1 + 1, k2), g.beta_sq(k1, k2 + 1)
-    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-    d1 = a_right.denominator * ad
-    d2 = b_up.denominator * bd
-    pd = a_up.denominator * b_right.denominator
-    qd = ad * bd
-    n1 = a_right.numerator * ad - an * a_right.denominator
-    n2 = b_up.numerator * bd - bn * b_up.denominator
-    pn = a_up.numerator * b_right.numerator
-    qn = an * bn
-    scale = d1 * d2
-    ok = psd2_radical_cross(n1, n2 * pd * qd, pn * scale * qd, qn * scale * pd)
-    return SixPointData(((n1, d1), (n2, d2), (pn, pd), (qn, qd)), ok)
+    return SixPointData(*_six_point_kernel(*map(_pair, (a, a_right, a_up, b, b_right, b_up))))
 
 
 def six_point(g: ShiftGrid2D, k: Index) -> bool:
@@ -229,9 +252,46 @@ def six_point(g: ShiftGrid2D, k: Index) -> bool:
     return six_point_data(g, k).ok
 
 
+def _six_point_walk(g: ShiftGrid2D, m: int, n: int) -> Iterator[tuple[Index, tuple, bool]]:
+    """(k, terms, ok) at each index of [0,m] x [0,n], lazily, in scan order.
+
+    The walk keeps level k2's alpha and beta rows and level k2+1's as
+    (numerator, denominator) pairs, and carries the upper rows down as the
+    next level's.  Each weight is read once, at its first use, and at each
+    index in the order a, a_right, a_up, b, b_right, b_up, so a grid that
+    cannot answer a read raises what the pointwise test would raise first.
+    A bad window raises here, before any read."""
+    indices = window_indices(m, n)
+    alpha, beta = g.alpha_sq, g.beta_sq
+
+    def walk() -> Iterator[tuple[Index, tuple, bool]]:
+        a_up: list[_Pair] = []
+        b_up: list[_Pair] = []
+        for k in indices:
+            k1, k2 = k
+            if k1 == 0:
+                a_row, b_row, a_up, b_up = a_up, b_up, [], []
+            if len(a_row) == k1:  # (0, 0) only
+                a_row.append(_pair(alpha(k1, k2)))
+            if len(a_row) == k1 + 1:  # all of level 0, then k1 = m
+                a_row.append(_pair(alpha(k1 + 1, k2)))
+            a_up.append(_pair(alpha(k1, k2 + 1)))
+            if len(b_row) == k1:
+                b_row.append(_pair(beta(k1, k2)))
+            if len(b_row) == k1 + 1:
+                b_row.append(_pair(beta(k1 + 1, k2)))
+            b_up.append(_pair(beta(k1, k2 + 1)))
+            terms, ok = _six_point_kernel(
+                a_row[k1], a_row[k1 + 1], a_up[k1], b_row[k1], b_row[k1 + 1], b_up[k1]
+            )
+            yield k, terms, ok
+
+    return walk()
+
+
 def six_point_scan(g: ShiftGrid2D, m: int, n: int) -> Iterator[tuple[Index, SixPointData]]:
     """Six-point data at each index of [0,m] x [0,n], lazily, in scan order."""
-    return ((k, six_point_data(g, k)) for k in window_indices(m, n))
+    return ((k, SixPointData(terms, ok)) for k, terms, ok in _six_point_walk(g, m, n))
 
 
 @dataclass(frozen=True)
@@ -274,7 +334,7 @@ class WindowReport:
 
 def joint_hyponormal_window(g: ShiftGrid2D, m: int, n: int) -> WindowReport:
     """Six-point test at every index of [0,m] x [0,n]; first failure wins."""
-    witness = next((k for k, data in six_point_scan(g, m, n) if not data.ok), None)
+    witness = next((k for k, _, ok in _six_point_walk(g, m, n) if not ok), None)
     if witness is None:
         return WindowReport(True, window=(m, n))
     return WindowReport(False, witness=(witness, "six_point"), window=(m, n))

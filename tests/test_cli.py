@@ -67,6 +67,7 @@ def specs(tmp_path):
             "fig5.json",
             {"model": "figure5", "k2": 2, "alpha0_sq": "1/4", "beta0_sq": "7/3240"},
         ),
+        "fig5deep": dump("fig5deep.json", {"model": "figure5", "k2": 12, "alpha0_sq": "1/4"}),
         "flatpair": dump(
             "flatpair.json",
             {
@@ -416,8 +417,11 @@ _GOLDEN = {
     "joint fig9 --window 12 6 --json": (0, "ac7200bba293dd1e7de08fb216826e2fa7accc6de16a189d943d132ee86765f8"),
     "sixpoint fig5 --window 6 4 --json": (0, "17e69c5cb925974dd82c997a1da48de22fe6abdca490d32dbac74539df2c9621"),
     "joint fig5 --window 12 6 --json": (0, "ac7200bba293dd1e7de08fb216826e2fa7accc6de16a189d943d132ee86765f8"),
+    "joint fig5deep --window 12 8 --json": (0, "ba848fbd55a5aa7265830ebdf2e8193be3ef37dcf34e7d72bebb9546e84e1cdf"),
+    "sixpoint fig5deep --window 12 6 --json": (0, "a40d8d267db0a9785f096c70c7ea4f58fbe652ef8575b509d520430bdba798eb"),
     "sixpoint flatpair --window 6 4 --json": (1, "90bbdae38c8b41567b1366a8eb52e8ec5430d7eb3c7a344eb24d672d118b885a"),
     "joint flatpair --window 12 6 --json": (1, "b99332d4b771c7dcce1ec0803d3e89399702db23c2be5e299505b0b24a88e133"),
+    "joint flatpair --window 12 6": (1, "200d55cb7ea0a43098414991ffb66d54bd4ec63efdc6eddb7ae716fb440c0e1d"),
     "sixpoint sfc_mid --window 6 4 --json": (0, "0f66e950a817c56cc22d95b58d8aa257b6ee4b98573aa223945deaa2cf7b9cc3"),
     "joint sfc_mid --window 12 6 --json": (0, "ac7200bba293dd1e7de08fb216826e2fa7accc6de16a189d943d132ee86765f8"),
     "sixpoint sfc_tight --window 6 4 --json": (1, "44ad625129a820a0c1f4e61dc06087f692c0e85bc63e8ee5182524c2f19fda20"),

@@ -6,13 +6,13 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab.exactnum import psd2_radical_cross
 from shiftlab.measures import combine1d, delta, lebesgue, make1d
 from shiftlab.sfc import make_params, sfc_grid
-from shiftlab.shift1d import WeightSeq, WeightTail, alpha_family, make_weights
+from shiftlab.shift1d import TAIL_KINDS, WeightSeq, WeightTail, alpha_family, make_weights
 from shiftlab.shift2d import (
     GridError,
     SixPointData,
@@ -725,6 +725,116 @@ def test_stacked_grids_match_closed_form_rules(case):
         with mock.patch.object(WeightSeq, "weight_sq", autospec=True, side_effect=WeightSeq.weight_sq) as reads:
             assert grid.beta_sq(1000, 11) == expected
         assert reads.call_count == 0
+
+
+# ---------------------------------------------------------------------------
+# the row walk against the pointwise scan
+
+
+def _pointwise_scan(g, m, n):
+    """Reference: one `six_point_data` call, six grid reads, per index of
+    `window_indices`."""
+    return ((k, six_point_data(g, k)) for k in window_indices(m, n))
+
+
+def _pointwise_joint(g, m, n):
+    witness = next((k for k, data in _pointwise_scan(g, m, n) if not data.ok), None)
+    return witness is None, None if witness is None else (witness, "six_point")
+
+
+def _error_text(exc):
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _scan_outcome(scan, g, m, n):
+    """Every (k, terms, ok) a scan yields, then the error that ended it."""
+    seen = []
+    try:
+        for k, data in scan(g, m, n):
+            seen.append((k, data.terms, data.ok))
+    except ValueError as exc:
+        return seen, _error_text(exc)
+    return seen, None
+
+
+def _window_joint(g, m, n):
+    report = joint_hyponormal_window(g, m, n)
+    return report.verdict, report.witness
+
+
+def _joint_outcome(joint, g, m, n):
+    try:
+        return joint(g, m, n)
+    except ValueError as exc:
+        return _error_text(exc)
+
+
+_positive_entry = st.fractions(min_value=F(1, 24), max_value=2, max_denominator=24)
+# about one entry in four is not positive, so windows fail their reads often
+_explicit_entry = st.one_of(_positive_entry, _positive_entry, _positive_entry, st.sampled_from([F(0), F(-1, 3)]))
+
+
+@st.composite
+def _explicit_window(draw, width, height):
+    rows = draw(st.lists(st.lists(_explicit_entry, min_size=width, max_size=width), min_size=height, max_size=height))
+    return [[str(v) for v in row] for row in rows]
+
+
+@st.composite
+def _scan_case(draw):
+    """(grid spec, m, n): explicit windows with non-positive entries and
+    sizes that may not cover the scan, and every stacked family."""
+    family = draw(st.sampled_from(["explicit", "figure9", "totally_flat", "figure5", "sfc"]))
+    if family == "explicit":
+        m, n = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+        # a window that just covers the scan, or any size
+        size = st.tuples(st.integers(1, 7), st.integers(1, 6))
+        (wa, ha), (wb, hb) = draw(st.one_of(st.just(((m + 2, n + 2),) * 2), st.tuples(size, size)))
+        alpha, beta = draw(_explicit_window(wa, ha)), draw(_explicit_window(wb, hb))
+        return {"model": "explicit", "alpha_sq": alpha, "beta_sq": beta}, m, n
+    m, n = draw(st.integers(0, 12)), draw(st.integers(0, 8))
+    if family == "figure9":
+        return {"model": "figure9", "y_sq": str(draw(_positive_unit))}, m, n
+    if family == "totally_flat":
+        prefix = [str(v) for v in draw(st.lists(_positive_unit, max_size=3))]
+        if prefix and draw(st.booleans()):
+            prefix.append(prefix[-1])
+        kind = draw(st.sampled_from(TAIL_KINDS))
+        tail = {"kind": kind}
+        if kind == "constant":
+            tail["value"] = str(draw(_positive_unit))
+        elif kind == "bergman_like":
+            tail["value"] = 1  # ell >= 2 has weights past 1
+        elif kind == "beta_r_family":
+            tail["value"] = str(draw(st.fractions(min_value=F(1, 24), max_value=F(4, 3), max_denominator=24)))
+        y_sq = str(draw(_positive_entry))
+        return {"model": "totally_flat", "x_row": {"prefix_sq": prefix, "tail": tail}, "y_sq": y_sq}, m, n
+    if family == "figure5":
+        spec = {"model": "figure5", "k2": draw(st.integers(1, 13))}
+        spec["alpha0_sq"] = str(draw(_positive_unit.filter(lambda q: q < 1)))
+        if draw(st.booleans()):
+            spec["beta0_sq"] = str(draw(_positive_unit))
+        return spec, m, n
+    xi, eta = draw(_atomic_measure()), draw(_atomic_measure())
+    a_sq, y0_sq = draw(_positive_unit), draw(_positive_unit)
+    spec = {"model": "sfc", "xi": xi.to_json_obj(), "eta": eta.to_json_obj()}
+    return {**spec, "a_sq": str(a_sq), "y0_sq": str(y0_sq)}, m, n
+
+
+@given(_scan_case())
+@example(({"model": "figure5", "k2": 13, "alpha0_sq": "1/4"}, 12, 8))
+@example(({"model": "figure9", "y_sq": "1/2"}, 16, 8))
+@example(({"model": "explicit", "alpha_sq": [["1", "0"]], "beta_sq": [["-1"]]}, 0, 0))
+@settings(max_examples=250, deadline=None)
+def test_row_walk_matches_the_pointwise_scan(case):
+    # each side gets a fresh grid, so no cached beta row is shared
+    spec, m, n = case
+    for fast, slow, outcome in (
+        (six_point_scan, _pointwise_scan, _scan_outcome),
+        (_window_joint, _pointwise_joint, _joint_outcome),
+    ):
+        expected = outcome(slow, grid_from_json(spec), m, n)
+        assert outcome(fast, grid_from_json(spec), m, n) == expected
 
 
 # ---------------------------------------------------------------------------
