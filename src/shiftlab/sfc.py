@@ -1,9 +1,10 @@
 """Classification of symmetrically flat contractive 2-variable shifts.
 
-The data is a pair of probability measures on [0, 1] (level 0 and column 0),
-one interior weight a_sq, and the corner weight y0_sq; all interior weights
-above and right of index (1, 1) are 1.  Two squared thresholds decide
-everything:
+The data is a pair of probability measures on [0, 1]: the level-0 measure
+xi and the column measure restricted to level 1, eta1 = (t / ∫ t dη) dη,
+with (1/t) d eta1 finite; one interior weight a_sq; and the corner weight
+y0_sq.  All interior weights above and right of index (1, 1) are 1.  Two
+squared thresholds decide everything:
 
 * h_sq: the corner weight bound for joint hyponormality,
 * s_sq: the corner weight bound for subnormality,
@@ -19,12 +20,10 @@ from fractions import Fraction
 
 from .exactnum import decimal_string, format_rational, parse_rational_field
 from .measures import (
-    INFINITE,
     Measure1D,
     Measure2D,
     MeasureError,
     NegativePartError,
-    NormValue,
     _divide_by_t,
     backward_ext_2var,
     combine1d,
@@ -44,56 +43,69 @@ class SFCError(ValueError):
 
 @dataclass(frozen=True)
 class SFCParams:
-    """Measure data plus the free weights, with the derived quantities the
-    thresholds consume; the masses of xi at 0 and 1 enter s_sq."""
+    """The level measure xi and the restricted column measure eta1 plus the
+    free weights, with the derived quantities the thresholds consume:
+    inv_t_norm is the mass of (1/t) d eta1, and the masses of xi at 0 and 1
+    enter s_sq."""
 
     xi: Measure1D
-    eta: Measure1D
+    eta1: Measure1D
     a_sq: Fraction
     y0_sq: Fraction
     x0_sq: Fraction
     x1_sq: Fraction
-    eta1: Measure1D
     y1_sq: Fraction
-    inv_t_norm: NormValue
+    inv_t_norm: Fraction
     xi_at_zero: Fraction
     xi_at_one: Fraction
 
 
+def _check_unit_probability(mu: Measure1D, name: str) -> None:
+    if not mu.is_probability():
+        raise SFCError(f"{name} must be a probability measure, has mass {mu.total_mass()}")
+    support_hi = max([x for x, _ in mu.atoms] + [seg.hi for seg in mu.segments])
+    if support_hi > 1:
+        raise SFCError(f"{name} must live on [0, 1], its support reaches {support_hi}")
+
+
 def make_params(xi: Measure1D, eta: Measure1D, a_sq: Fraction, y0_sq: Fraction) -> SFCParams:
-    """Validate and derive; the only constructor worth using."""
-    a_sq = Fraction(a_sq)
-    y0_sq = Fraction(y0_sq)
-    for name, mu in (("xi", xi), ("eta", eta)):
-        if not mu.is_probability():
-            raise SFCError(f"{name} must be a probability measure, has mass {mu.total_mass()}")
-        support_hi = max([x for x, _ in mu.atoms] + [seg.hi for seg in mu.segments])
-        if support_hi > 1:
-            raise SFCError(f"{name} must live on [0, 1], its support reaches {support_hi}")
-    if not 0 < a_sq <= 1:
-        raise SFCError(f"need 0 < a_sq <= 1, got {a_sq}")
-    if not 0 < y0_sq <= 1:
-        raise SFCError(f"need 0 < y0_sq <= 1, got {y0_sq}")
+    """Validate the column measure eta, restrict it to level 1 and derive."""
+    _check_unit_probability(eta, "eta")
+    try:
+        eta1 = eta.restriction(1)
+    except MeasureError as exc:
+        raise SFCError(str(exc)) from exc
+    return _params(xi, eta1, a_sq, y0_sq)
+
+
+def _params(xi: Measure1D, eta1: Measure1D, a_sq: Fraction, y0_sq: Fraction, where: str = "eta1") -> SFCParams:
+    """Validate the rest and derive, given eta1 of checked mass and support.
+    A restriction never charges 0 and its density pieces have no constant
+    term, so only an eta1 given directly can fail the 1/t pass."""
+    try:
+        inv_t_norm = _divide_by_t(eta1).total_mass()
+    except MeasureError as exc:
+        raise SFCError(f"{where}: {exc}") from exc
+    a_sq, y0_sq = Fraction(a_sq), Fraction(y0_sq)
+    _check_unit_probability(xi, "xi")
+    for name, value in (("a_sq", a_sq), ("y0_sq", y0_sq)):
+        if not 0 < value <= 1:
+            raise SFCError(f"need 0 < {name} <= 1, got {value}")
     x0_sq = xi.moment(1)
     if x0_sq == 0:
         raise SFCError("xi concentrated at 0 gives a zero weight")
     x1_sq = xi.moment(2) / x0_sq
     if x1_sq > 1:
         raise SFCError(f"level-0 weights exceed 1: x1_sq = {x1_sq}")
-    try:
-        eta1 = eta.restriction(1)
-    except MeasureError as exc:
-        raise SFCError(str(exc)) from exc
     return SFCParams(
         xi=xi,
-        eta=eta,
+        eta1=eta1,
         a_sq=a_sq,
         y0_sq=y0_sq,
         x0_sq=x0_sq,
         x1_sq=x1_sq,
-        eta1=eta1,
         y1_sq=eta1.moment(1),
-        inv_t_norm=eta1.inv_t_norm(),
+        inv_t_norm=inv_t_norm,
         xi_at_zero=xi.atom_mass(Fraction(0)),
         xi_at_one=xi.atom_mass(Fraction(1)),
     )
@@ -121,16 +133,11 @@ def s_threshold_sq(p: SFCParams) -> Fraction:
     """Largest admissible squared corner weight for subnormality.
 
     s_sq = min(xi({1}) / a_sq, xi({0}) / (inv_t_norm - a_sq)); needs the
-    inverse-moment norm of the restricted column measure finite and above
-    a_sq, otherwise the second constraint degenerates.
+    inverse-moment norm of eta1 above a_sq, otherwise the second constraint
+    degenerates.
     """
-    if p.inv_t_norm is INFINITE:
-        raise SFCError("column measure has infinite inverse-moment norm")
     if p.inv_t_norm <= p.a_sq:
-        raise SFCError(
-            f"inverse-moment norm {p.inv_t_norm} <= a_sq {p.a_sq}: "
-            "the zero-atom constraint degenerates"
-        )
+        raise SFCError(f"inverse-moment norm {p.inv_t_norm} <= a_sq {p.a_sq}: the zero-atom constraint degenerates")
     return min(p.xi_at_one / p.a_sq, p.xi_at_zero / (p.inv_t_norm - p.a_sq))
 
 
@@ -142,10 +149,18 @@ class Classification:
 
 
 def classify(p: SFCParams) -> Classification:
-    """Three-way verdict: y0_sq against s_sq, then h_sq."""
+    """Three-way verdict: y0_sq against s_sq, then h_sq, once a_sq <= eta1({1}).
+
+    Level k2 >= 1 is the shift a_sq / m_(k2-1), 1, 1, ... with m the moments
+    of eta1, which fall to eta1({1}); hyponormal weights never decrease, so
+    a_sq > eta1({1}) is NotHyponormal.  The degenerate s_sq raise never meets
+    this guard: inv_t_norm >= 1, with equality only at eta1 = delta_1, so
+    inv_t_norm <= a_sq <= 1 forces eta1({1}) = 1 = a_sq."""
     h_sq = h_threshold_sq(p)
     s_sq = s_threshold_sq(p)
-    if p.y0_sq <= s_sq:
+    if p.a_sq > p.eta1.atom_mass(Fraction(1)):
+        verdict = "NotHyponormal"
+    elif p.y0_sq <= s_sq:
         verdict = "Subnormal"
     elif p.y0_sq <= h_sq:
         verdict = "HyponormalNotSubnormal"
@@ -286,11 +301,11 @@ def scan_csv_text(rows: list[ScanRow], digits: int) -> str:
 
 
 def params_from_json(obj: object, where: str = "params") -> SFCParams:
+    """Params from a spec with `eta`, or with `eta1` as grid specs store it."""
     if not isinstance(obj, dict):
         raise SFCError(f"{where}: expected an object")
     eta1 = None
     if "eta1" in obj and "eta" not in obj:
-        # grid specs store the restricted column measure directly
         eta1 = measure1d_from_json(obj["eta1"], f"{where}.eta1")
     missing = [k for k in ("xi", "a_sq", "y0_sq") if k not in obj]
     if eta1 is None and "eta" not in obj:
@@ -300,23 +315,7 @@ def params_from_json(obj: object, where: str = "params") -> SFCParams:
     xi = measure1d_from_json(obj["xi"], f"{where}.xi")
     a_sq = parse_rational_field(obj["a_sq"], f"{where}.a_sq", SFCError)
     y0_sq = parse_rational_field(obj["y0_sq"], f"{where}.y0_sq", SFCError)
-    if eta1 is not None:
-        return make_params(xi, _unrestrict(eta1, f"{where}.eta1"), a_sq, y0_sq)
-    return make_params(xi, measure1d_from_json(obj["eta"], f"{where}.eta"), a_sq, y0_sq)
-
-
-def _unrestrict(eta1: Measure1D, where: str) -> Measure1D:
-    """A probability measure on [0, 1] whose level-1 restriction is eta1.
-
-    (1/t) d eta1 has total mass equal to the inverse-moment norm of eta1
-    (always at least 1 on [0, 1]); normalizing it recovers a valid column
-    measure.
-    """
-    try:
-        raw = _divide_by_t(eta1)
-    except MeasureError as exc:
-        raise SFCError(f"{where}: {exc}") from exc
-    mass = raw.total_mass()
-    if mass == 0:
-        raise SFCError("restricted column measure is empty")
-    return raw.scale(1 / mass)
+    if eta1 is None:
+        return make_params(xi, measure1d_from_json(obj["eta"], f"{where}.eta"), a_sq, y0_sq)
+    _check_unit_probability(eta1, f"{where}.eta1")
+    return _params(xi, eta1, a_sq, y0_sq, f"{where}.eta1")

@@ -13,14 +13,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shiftlab
 from shiftlab.cli import _canonical_json, build_parser, main
 from shiftlab.exactnum import decimal_string, format_rational
-from shiftlab.measures import _segment_integral, combine1d, delta, lebesgue, make1d
-from shiftlab.sfc import example_family
+from shiftlab.measures import MeasureError, _segment_integral, combine1d, delta, lebesgue, make1d
+from shiftlab.sfc import SFCError, example_family, make_params, params_from_json, sfc_grid
 from shiftlab.shift1d import hyponormal_witness, khypo_witness, weights_from_json
 
 F = Fraction
@@ -96,6 +96,9 @@ def specs(tmp_path):
                 "y0_sq": "13/16",
             },
         ),
+        # the same pairs as grid specs write them, with the restricted column measure eta1
+        "sfc_mid_eta1": dump("sfc_mid_eta1.json", sfc_grid(make_params(xi, eta, F(1, 2), F(12, 25))).to_json_obj()),
+        "sfc_tight_eta1": dump("sfc_tight_eta1.json", sfc_grid(make_params(xi, eta, F(5, 12), F(13, 16))).to_json_obj()),
         "badjson": str(tmp_path / "bad.json"),
         "unknown": dump("unknown.json", {"model": "weird"}),
         "dir": tmp_path,
@@ -432,6 +435,12 @@ _GOLDEN = {
     "joint badjson --window 12 6 --json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "classify-sfc sfc_mid --json": (0, "1997dc9c054fb50b4c0545c01f4ca5bfa5fbb2c281b3348e48a076ee3dfeacb3"),
     "classify-sfc sfc_tight --json": (0, "5881d5b865bfacca7a76e85e390a8670e62f313c16d807a8b00e9dcb1fd73d4d"),
+    "joint sfc_mid_eta1 --window 12 6 --json": (0, "ac7200bba293dd1e7de08fb216826e2fa7accc6de16a189d943d132ee86765f8"),
+    "sixpoint sfc_mid_eta1 --window 6 4 --json": (0, "0f66e950a817c56cc22d95b58d8aa257b6ee4b98573aa223945deaa2cf7b9cc3"),
+    "classify-sfc sfc_mid_eta1 --json": (0, "1997dc9c054fb50b4c0545c01f4ca5bfa5fbb2c281b3348e48a076ee3dfeacb3"),
+    "joint sfc_tight_eta1 --window 12 6 --json": (1, "90dda784a058d97711f5bfa0651bb5cd97a553a1c67e7e45f6efe4fb59b442ce"),
+    "sixpoint sfc_tight_eta1 --window 6 4 --json": (1, "44ad625129a820a0c1f4e61dc06087f692c0e85bc63e8ee5182524c2f19fda20"),
+    "classify-sfc sfc_tight_eta1 --json": (0, "5881d5b865bfacca7a76e85e390a8670e62f313c16d807a8b00e9dcb1fd73d4d"),
     "scan --lo 1/3 --hi 1/2 --steps 5": (0, "f1d1d3362cfbf9758888c8732b186fb9f5fe2ea496a974465a8a589a4cd116d3"),
     "verify-paper --json": (0, "bcce2c045c9dd5183c05325ccf959e131594eed52cd3f472a0773c5641ad6811"),
 }
@@ -663,6 +672,22 @@ def test_sfc_specs_never_crash_the_cli(xi, eta, a_sq, y0_sq):
                 assert err.getvalue().startswith("error: ") and out.getvalue() == ""
 
 
+@given(
+    xi=_measure_on_unit_interval(),
+    eta=_measure_on_unit_interval(),
+    a_sq=st.fractions(min_value=F(1, 8), max_value=1, max_denominator=8),
+    y0_sq=st.fractions(min_value=F(1, 8), max_value=1, max_denominator=8),
+)
+@settings(max_examples=60, deadline=None)
+def test_sfc_grid_spec_gives_back_its_params(xi, eta, a_sq, y0_sq):
+    spec = {"xi": xi, "eta": eta, "a_sq": format_rational(a_sq), "y0_sq": format_rational(y0_sq)}
+    try:
+        p = params_from_json(spec)
+    except (MeasureError, SFCError):
+        assume(False)
+    assert params_from_json(json.loads(json.dumps(sfc_grid(p).to_json_obj()))) == p
+
+
 def test_out_file_matches_stdout(tmp_path, capsys, specs):
     argv = ["joint", specs["fig9"], "--window", "8", "4", "--json"]
     _, stdout_text, _ = run(capsys, argv)
@@ -720,21 +745,41 @@ def test_library_and_cli_agree_on_sfc(capsys, specs):
     assert expected.y0_sq == F(12, 25)
 
 
-def test_restricted_column_measure_charging_zero_is_bad_input(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "eta1",
+    [
+        {"atoms": [["0", "1/2"], ["1", "1/2"]]},
+        {"atoms": [["1", "1"]], "segments": [{"coeffs": ["0", "2"], "lo": "0", "hi": "1"}]},
+        {},
+        {"atoms": [["2", "1"]]},
+    ],
+    ids=["charging-zero", "mass-2", "empty", "atom-at-2"],
+)
+def test_restricted_column_measure_charging_zero_is_bad_input(tmp_path, capsys, eta1):
     xi = make1d([(F(0), F(1, 3)), (F(1, 2), F(1, 3)), (F(1), F(1, 3))])
-    spec = {
-        "model": "sfc",
-        "xi": xi.to_json_obj(),
-        "eta1": {"atoms": [["0", "1/2"], ["1", "1/2"]]},
-        "a_sq": "1/2",
-        "y0_sq": "1/3",
-    }
+    spec = {"model": "sfc", "xi": xi.to_json_obj(), "eta1": eta1, "a_sq": "1/2", "y0_sq": "1/3"}
     path = tmp_path / "eta1.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
     for argv in (["joint", str(path), "--window", "3", "3"], ["classify-sfc", str(path)]):
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and "eta1" in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "eta1" in err
+
+
+def test_column_contraction_breach_through_the_cli(tmp_path, capsys):
+    # eta = 1/2 delta_0 + 1/2 dt restricts to 2t dt, which has no atom at 1
+    # to carry a_sq = 2/5, so the pair is not hyponormal at any y0_sq
+    xi = make1d([(F(0), F(1, 3)), (F(1, 2), F(1, 3)), (F(1), F(1, 3))])
+    eta = combine1d([(F(1, 2), delta(F(0))), (F(1, 2), lebesgue())])
+    spec = {"model": "sfc", "xi": xi.to_json_obj(), "eta": eta.to_json_obj(), "a_sq": "2/5", "y0_sq": "1/100"}
+    path = tmp_path / "breach.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, out, _ = run(capsys, ["classify-sfc", str(path), "--json"])
+    doc = json.loads(out)
+    assert code == 0 and doc["verdict"] == "NotHyponormal"
+    assert (doc["h_sq"]["rat"], doc["s_sq"]["rat"]) == ("100/159", "5/24")
+    code, out, _ = run(capsys, ["joint", str(path), "--window", "4", "4", "--json"])
+    assert code == 1 and json.loads(out)["report"]["witness"]["k"] == [0, 1]
 
 
 @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["human", "json"])

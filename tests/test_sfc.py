@@ -1,6 +1,8 @@
 """Corner-weight classification for symmetrically flat contractive grids."""
 
+import random
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -234,6 +236,56 @@ def test_named_thresholds_versus_window_scan():
     assert report.witness == ((1, 0), "six_point")
 
 
+def test_column_contraction_breach_is_not_hyponormal():
+    # eta1 = 2t dt has no atom at 1, so a_sq = 2/5 breaks the column-0
+    # contraction although y0_sq sits below both thresholds
+    eta = combine1d([(F(1, 2), delta(F(0))), (F(1, 2), lebesgue())])
+    p = make_params(three_atoms(), eta, F(2, 5), F(1, 100))
+    assert classify(p) == Classification("NotHyponormal", F(100, 159), F(5, 24))
+    assert joint_hyponormal_window(sfc_grid(p), 4, 4).witness == ((0, 1), "six_point")
+    with pytest.raises(SFCError, match="^eta1 must dominate the atom of mass a_sq at 1"):
+        sfc_backward_extension(p)
+
+
+def _random_unit_measure(rng, at_zero, at_one):
+    """A probability measure on [0, 1]: atoms (optionally at 0 and 1) plus
+    nonnegative polynomial pieces, or None when the draw has no mass."""
+    points = {F(rng.randint(1, 7), 8) for _ in range(rng.randint(0, 2))}
+    points |= {x for x, wanted in ((F(0), at_zero), (F(1), at_one)) if wanted}
+    atoms = [(x, F(rng.randint(1, 8), 4)) for x in sorted(points)]
+    edges = sorted({F(rng.randint(0, 8), 8) for _ in range(rng.randint(2, 3))})
+    pieces = [([F(rng.randint(0, 4), 4) for _ in range(rng.randint(1, 3))], lo, hi) for lo, hi in zip(edges, edges[1:])]
+    raw = make1d(atoms, [piece for piece in pieces if any(piece[0])])
+    return raw.scale(1 / raw.total_mass()) if raw.total_mass() else None
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_column_guard_verdicts_fail_the_window_scan(seed):
+    # level k2 = depth + 1, the first whose weight a_sq / m_depth exceeds 1,
+    # bounds the window; about 95 pairs a seed fire the guard, and depth
+    # reaches 47 on these draws
+    rng = random.Random(seed)
+    fired = 0
+    for _ in range(150):
+        xi = _random_unit_measure(rng, rng.random() < 0.7, rng.random() < 0.7)
+        eta = _random_unit_measure(rng, rng.random() < 0.5, rng.random() < 0.5)
+        if xi is None or eta is None:
+            continue
+        try:
+            p = make_params(xi, eta, F(rng.randint(1, 12), 12), F(rng.randint(1, 12), 12))
+            verdict = classify(p).verdict
+        except SFCError:
+            continue
+        if p.a_sq <= p.eta1.atom_mass(F(1)):
+            continue
+        fired += 1
+        assert verdict == "NotHyponormal"
+        depth = next(k for k in count() if p.a_sq > p.eta1.moment(k))
+        report = joint_hyponormal_window(sfc_grid(p), 2, depth + 1)
+        assert not report.verdict, (p, depth)
+    assert fired >= 80
+
+
 # ---------------------------------------------------------------------------
 # scans and the moment-domination check
 
@@ -275,7 +327,7 @@ def test_params_from_json_with_column_measure():
     p = example_family(F(1, 2), F(16, 25))
     doc = {
         "xi": p.xi.to_json_obj(),
-        "eta": p.eta.to_json_obj(),
+        "eta": example_family_measures(F(16, 25))[1].to_json_obj(),
         "a_sq": "1/2",
         "y0_sq": "12/25",
     }
