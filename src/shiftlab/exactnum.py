@@ -52,7 +52,7 @@ class ExactInputError(ValueError):
 # rational parsing and rendering
 
 
-_RATIONAL_PART = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_RATIONAL_PART = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -60,7 +60,8 @@ def parse_rational(text: str) -> Fraction:
 
     Each "+"-separated part, stripped of surrounding whitespace, is
     ``-?digits(/digits)?`` in ASCII digits; decimals, exponents, underscores
-    and any other form Fraction would accept are refused.
+    and any other form Fraction would accept are refused.  The parts are
+    added up on their integers and reduced once.
 
     >>> parse_rational("7/3240")
     Fraction(7, 3240)
@@ -69,19 +70,23 @@ def parse_rational(text: str) -> Fraction:
     >>> parse_rational("1/6+1/100")
     Fraction(53, 300)
     """
-    total = Fraction(0)
     parts = text.split("+")
     if not parts or any(not part.strip() for part in parts):
         raise ExactInputError(f"malformed rational: {text!r}")
+    num, den = 0, 1
     for part in parts:
         part = part.strip()
+        match = _RATIONAL_PART.fullmatch(part)
         try:
-            if not _RATIONAL_PART.fullmatch(part):
+            if not match:
                 raise ValueError(part)
-            total += Fraction(part)
+            p, q = int(match[1]), int(match[2] or 1)  # past the digit limit, a ValueError
+            if not q:
+                raise ZeroDivisionError(part)
         except (ValueError, ZeroDivisionError) as exc:
             raise ExactInputError(f"malformed rational: {part!r}") from exc
-    return total
+        num, den = num * q + p * den, den * q
+    return Fraction(num, den)
 
 
 def parse_rational_field(value: object, where: str, error: type[ValueError]) -> Fraction:

@@ -4,23 +4,33 @@ A 1-D measure is a finite list of point masses plus finitely many segments
 carrying polynomial densities; a 2-D measure is a finite nonnegative
 combination of product terms.  This class is closed under every operation
 the library needs: moments, 1/t-norms, restriction to higher moments,
-extremal reweighting, marginals, ordering, and the two backward-extension
+extremal reweighting, ordering, and the two backward-extension
 constructions.  All data are rational and all answers exact.
 
 `make1d` is the one canonicalizer, for raw data and sums: atoms merged by
 point, segments split at the global breakpoint set, equal adjacent pieces
 re-merged, zero components dropped; a negative component raises
 NegativePartError, which is how "xi minus a rescaled marginal" is adjudicated.
+It works on integers: atoms merge on (numerator, denominator) keys with
+integer mass sums, and breakpoints are integer positions over one common
+denominator.  Only pieces that raw input or a negative term reaches are
+sign-tested: `combine1d` hands the pieces of its terms with c > 0 over as
+known nonnegative, and a sum of nonnegative densities is nonnegative.
 Every other operation (scaling, restriction, division by t) keeps pieces
 nonnegative and distinct, so it builds its canonical result directly.
+
+Each Measure1D keeps one moment table, extended on demand from running
+integer powers, so every distinct moment of a measure is computed once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .exactnum import (
     Poly,
@@ -98,18 +108,20 @@ class Measure1D:
         return self.total_mass() == 1
 
     def moment(self, n: int) -> Fraction:
-        """The n-th moment, computed on integers: an atom of mass c/d at a/b
-        adds c * a**n / (d * b**n), so L times the atoms' sum, for L the lcm
-        of the d * b**n, is the integer sum of c * a**n * (L // (d * b**n)),
-        reduced once; each segment adds one :func:`_segment_integral`."""
+        """The n-th moment, read from the measure's table (:func:`_moments`)."""
         if n < 0:
             raise MeasureError(f"moment order must be >= 0, got {n}")
-        parts = [(m.numerator * x.numerator**n, m.denominator * x.denominator**n) for x, m in self.atoms]
-        den = lcm(*(d for _, d in parts))
-        total = Fraction(sum(c * (den // d) for c, d in parts), den)
-        for seg in self.segments:
-            total += _segment_integral(poly_shift_up(list(seg.coeffs), n), seg.lo, seg.hi)
-        return total
+        values, stream = self._moment_table
+        while len(values) <= n:
+            values.append(next(stream))
+        return values[n]
+
+    @cached_property
+    def _moment_table(self) -> tuple[list[Fraction], Iterator[Fraction]]:
+        return [], _moments(self.atoms, self.segments)
+
+    def __reduce__(self):
+        return Measure1D, (self.atoms, self.segments)  # copies start a fresh table
 
     def atom_mass(self, point: Fraction) -> Fraction:
         return dict(self.atoms).get(point, Fraction(0))
@@ -165,51 +177,94 @@ class Measure1D:
         }
 
 
-def _segment_integral(coeffs: Poly, lo: Fraction, hi: Fraction) -> Fraction:
-    """The integral over [lo, hi] of sum c_k t**k, on integers.
+def _moments(atoms, segments) -> Iterator[Fraction]:
+    """m_0, m_1, ... of the given atoms and pieces, on integers.
+
+    Over X, the lcm of the points' denominators, and D, that of the masses',
+    the atom of mass c/D at p/X adds c * p**n / (D * X**n); the c * p**n and
+    X**n grow a factor at a time.  Each piece adds one term of
+    :func:`_piece_moments`.  A moment is the integer sum of these terms over
+    the lcm of their denominators, reduced once."""
+    points_den = lcm(*[x.denominator for x, _ in atoms])
+    masses_den = lcm(*[m.denominator for _, m in atoms])
+    steps = [x.numerator * (points_den // x.denominator) for x, _ in atoms]
+    terms = [m.numerator * (masses_den // m.denominator) for _, m in atoms]
+    pieces = [_piece_moments(seg.coeffs, seg.lo, seg.hi) for seg in segments]
+    while True:
+        parts = [(sum(terms), masses_den)] + [next(piece) for piece in pieces]
+        den = lcm(*[d for _, d in parts])
+        yield Fraction(sum([num * (den // d) for num, d in parts]), den)
+        terms = [t * p for t, p in zip(terms, steps)]
+        masses_den *= points_den
+
+
+def _piece_moments(coeffs, lo: Fraction, hi: Fraction) -> Iterator[tuple[int, int]]:
+    """(num, den) of the integral over [lo, hi] of t**n * sum c_k t**k, for
+    n = 0, 1, ..., unreduced.
 
     Over e, the lcm of the endpoints' denominators, lo = a/e and hi = b/e;
-    over D, the lcm of the (k+1) * den(c_k), r_k = num(c_k) * D / ((k+1) *
-    den(c_k)) is an integer.  D * e**K times the integral (K = len(coeffs))
-    is then the integer sum of r_k * (b**(k+1) - a**(k+1)) * e**(K-1-k),
-    which one Horner pass in e adds up while the powers of a and b grow a
-    factor at a time; the quotient is reduced once."""
+    over Q, that of the coefficients', c_k = q_k/Q.  With j = n + k + 1 the
+    n-th integral is the sum of q_k * (b**j - a**j) / (j * Q * e**j), so over
+    Q * L * e**(n+K), L the lcm of the j and K = len(coeffs), its numerator
+    is the integer sum of q_k * (L // j) * (b**j - a**j) * e**(K-1-k).  The
+    differences b**j - a**j slide along one power at a time."""
     e = lcm(lo.denominator, hi.denominator)
     a, b = lo.numerator * (e // lo.denominator), hi.numerator * (e // hi.denominator)
-    den = lcm(*((k + 1) * c.denominator for k, c in enumerate(coeffs) if c))
-    total, a_pow, b_pow = 0, 1, 1
-    for k, c in enumerate(coeffs):
-        a_pow, b_pow, total = a_pow * a, b_pow * b, total * e
-        if c:
-            total += c.numerator * (den // ((k + 1) * c.denominator)) * (b_pow - a_pow)
-    return Fraction(total, den * e ** len(coeffs))
+    size = len(coeffs)
+    q_den = lcm(*[c.denominator for c in coeffs])
+    terms = [(k, c.numerator * (q_den // c.denominator) * e ** (size - 1 - k)) for k, c in enumerate(coeffs) if c]
+    a_pow, b_pow = 1, 1
+    diffs = []
+    for _ in range(size):
+        a_pow, b_pow = a_pow * a, b_pow * b
+        diffs.append(b_pow - a_pow)
+    e_pow, n = e**size, 0
+    while True:
+        span = lcm(*[n + k + 1 for k, _ in terms])
+        yield sum([q * (span // (n + k + 1)) * diffs[k] for k, q in terms]), q_den * span * e_pow
+        a_pow, b_pow, e_pow, n = a_pow * a, b_pow * b, e_pow * e, n + 1
+        diffs = diffs[1:] + [b_pow - a_pow]
+
+
+def _segment_integral(coeffs: Poly, lo: Fraction, hi: Fraction) -> Fraction:
+    """The integral over [lo, hi] of sum c_k t**k, on integers."""
+    return Fraction(*next(_piece_moments(coeffs, lo, hi)))
 
 
 RawAtom = tuple[Fraction, Fraction]
 RawSegment = tuple[Iterable[Fraction], Fraction, Fraction]
 
 
-def make1d(atoms: Iterable[RawAtom] = (), segments: Iterable[RawSegment] = ()) -> Measure1D:
+def make1d(
+    atoms: Iterable[RawAtom] = (), segments: Iterable[RawSegment] = (), nonneg_segments: Iterable[RawSegment] = ()
+) -> Measure1D:
     """Canonicalize raw atom/segment data into a nonnegative Measure1D; the
     one canonicalizer, for raw data and sums.
 
     Accepts signed intermediate masses and densities (so differences can be
     expressed as concatenated positive and negated parts) but raises
     NegativePartError unless every canonical component is nonnegative.
+    ``nonneg_segments`` are pieces of canonical measures scaled by positive
+    factors (trimmed Fraction densities, nonnegative on [lo, hi], lo < hi):
+    they skip the checks, and a piece only they reach skips the sign test.
     """
-    acc: dict[Fraction, Fraction] = {}
+    masses: dict[tuple[int, int], tuple[Fraction, int, int]] = {}
     for x, m in atoms:
         if x < 0:
             raise MeasureError(f"atom at negative point {x}")
-        acc[x] = acc.get(x, Fraction(0)) + m
+        key = (x.numerator, x.denominator)
+        point, num, den = masses.get(key, (x, 0, 1))
+        masses[key] = (point, num * m.denominator + m.numerator * den, den * m.denominator)
+    scale = lcm(*[den for _, den in masses])
     canon_atoms = []
-    for x in sorted(acc):
-        if acc[x] < 0:
-            raise NegativePartError(f"negative atom mass {acc[x]} at {x}")
-        if acc[x] != 0:
-            canon_atoms.append((x, acc[x]))
+    for key in sorted(masses, key=lambda key: key[0] * (scale // key[1])):
+        point, num, den = masses[key]
+        if num < 0:
+            raise NegativePartError(f"negative atom mass {Fraction(num, den)} at {point}")
+        if num:
+            canon_atoms.append((point, Fraction(num, den)))
 
-    cleaned: list[tuple[Poly, Fraction, Fraction]] = []
+    raw: list[tuple[Poly, Fraction, Fraction, bool]] = []
     for coeffs, lo, hi in segments:
         if lo < 0:
             raise MeasureError(f"segment with negative endpoint {lo}")
@@ -218,33 +273,49 @@ def make1d(atoms: Iterable[RawAtom] = (), segments: Iterable[RawSegment] = ()) -
         poly = poly_trim([Fraction(c) for c in coeffs])
         if lo == hi or not poly:
             continue
-        cleaned.append((poly, lo, hi))
+        raw.append((poly, lo, hi, True))
+    raw.extend((poly, lo, hi, False) for poly, lo, hi in nonneg_segments)
+    return Measure1D(tuple(canon_atoms), tuple(_canonical_segments(raw)))
 
-    canon_segments = _canonical_segments(cleaned)
-    return Measure1D(tuple(canon_atoms), tuple(canon_segments))
 
-
-def _canonical_segments(raw: list[tuple[Poly, Fraction, Fraction]]) -> list[Segment]:
+def _canonical_segments(raw: list[tuple[Poly, Fraction, Fraction, bool]]) -> list[Segment]:
+    """Split the (poly, lo, hi, test) pieces at every endpoint, add them up,
+    and re-merge equal neighbours.  An interval is sign-tested when some
+    piece with test set covers it.  Endpoints are integer positions over
+    their common denominator."""
     if not raw:
         return []
-    points = sorted({p for _, lo, hi in raw for p in (lo, hi)})
-    pieces: dict[tuple[Fraction, Fraction], Poly] = {}
-    for poly, lo, hi in raw:
-        inner = [p for p in points if lo <= p <= hi]
-        for a, b in zip(inner, inner[1:]):
-            key = (a, b)
-            pieces[key] = poly_add(pieces.get(key, []), poly)
+    scale = lcm(*[p.denominator for _, lo, hi, _ in raw for p in (lo, hi)])
+    ends: dict[int, Fraction] = {}
+    spans = []
+    for poly, lo, hi, test in raw:
+        a, b = lo.numerator * (scale // lo.denominator), hi.numerator * (scale // hi.denominator)
+        ends.setdefault(a, lo)
+        ends.setdefault(b, hi)
+        spans.append((poly, a, b, test))
+    points = sorted(ends)
+    pieces: dict[int, tuple[Poly, bool]] = {}
+    for poly, a, b, test in spans:
+        for i in range(bisect_left(points, a), bisect_left(points, b)):
+            if i in pieces:
+                total, tested = pieces[i]
+                pieces[i] = (poly_add(total, poly), tested or test)
+            else:
+                pieces[i] = (poly, test)
     out: list[Segment] = []
-    for (a, b) in sorted(pieces):
-        poly = poly_trim(pieces[(a, b)])
+    last = -2
+    for i in sorted(pieces):
+        poly, test = pieces[i]
         if not poly:
             continue
-        if not poly_nonneg_on_interval(poly, a, b):
-            raise NegativePartError(f"density negative somewhere on [{a}, {b}]")
-        if out and out[-1].hi == a and list(out[-1].coeffs) == poly:
-            out[-1] = Segment(out[-1].coeffs, out[-1].lo, b)
+        lo, hi = ends[points[i]], ends[points[i + 1]]
+        if test and not poly_nonneg_on_interval(poly, lo, hi):
+            raise NegativePartError(f"density negative somewhere on [{lo}, {hi}]")
+        if last == i - 1 and list(out[-1].coeffs) == poly:
+            out[-1] = Segment(out[-1].coeffs, out[-1].lo, hi)
         else:
-            out.append(Segment(tuple(poly), a, b))
+            out.append(Segment(tuple(poly), lo, hi))
+        last = i
     return out
 
 
@@ -253,7 +324,10 @@ ZERO_1D = Measure1D((), ())
 
 def delta(point: Fraction, mass: Fraction = Fraction(1)) -> Measure1D:
     """The point mass ``mass * delta_point``."""
-    return make1d([(Fraction(point), Fraction(mass))])
+    point, mass = Fraction(point), Fraction(mass)
+    if point < 0 or mass <= 0:
+        return make1d([(point, mass)])  # the zero measure, or make1d's error
+    return Measure1D(((point, mass),), ())
 
 
 def density(coeffs: Iterable[Fraction], lo: Fraction = Fraction(0), hi: Fraction = Fraction(1)) -> Measure1D:
@@ -267,16 +341,19 @@ def lebesgue(lo: Fraction = Fraction(0), hi: Fraction = Fraction(1)) -> Measure1
 
 def combine1d(terms: Iterable[tuple[Fraction, Measure1D]]) -> Measure1D:
     """The linear combination sum(c_i * mu_i), canonicalized; the c_i may be
-    negative, but NegativePartError unless the sum is a measure."""
+    negative, but NegativePartError unless the sum is a measure.  The pieces
+    of terms with c_i > 0 are nonnegative, so only pieces that a negative
+    term reaches are sign-tested."""
     terms = list(terms)
     if len(terms) == 1 and terms[0][0] >= 0:
         return terms[0][1].scale(terms[0][0])  # already canonical
     atoms: list[RawAtom] = []
-    segments: list[RawSegment] = []
+    signed: list[RawSegment] = []
+    nonneg: list[RawSegment] = []
     for c, mu in terms:
         atoms.extend((x, c * m) for x, m in mu.atoms)
-        segments.extend((poly_scale(list(s.coeffs), c), s.lo, s.hi) for s in mu.segments)
-    return make1d(atoms, segments)
+        (nonneg if c > 0 else signed).extend((poly_scale(list(s.coeffs), c), s.lo, s.hi) for s in mu.segments)
+    return make1d(atoms, signed, nonneg)
 
 
 def measure_sub(mu: Measure1D, nu: Measure1D) -> Measure1D:
@@ -371,9 +448,6 @@ class Measure2D:
             total += term.coeff * norm
         return total
 
-    def marginal_x(self) -> Measure1D:
-        return combine1d([(t.coeff, t.s_part) for t in self.terms])
-
     def to_json_obj(self) -> dict:
         return {
             "terms": [
@@ -412,11 +486,11 @@ def make2d(terms: Iterable[tuple[Fraction, Measure1D, Measure1D]]) -> Measure2D:
     canon = []
     for key in sorted(grouped):
         s_piece, contribs = grouped[key]
-        t_sum = combine1d(contribs)
-        mass = t_sum.total_mass()
+        # mass is linear: the t-factors' masses are read from their tables
+        mass = sum((c * t_part.total_mass() for c, t_part in contribs), Fraction(0))
         if mass == 0:
             continue
-        canon.append(ProductTerm(mass, s_piece, t_sum.scale(1 / mass)))
+        canon.append(ProductTerm(mass, s_piece, combine1d([(c / mass, t_part) for c, t_part in contribs])))
     return Measure2D(tuple(canon))
 
 

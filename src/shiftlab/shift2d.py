@@ -44,11 +44,12 @@ class _MomentShift:
     """The 1-variable shift of a probability measure: weight_sq(k) =
     m_(k+1) / m_k, with m_0 = 1.
 
-    Moments and weights are memoized: a grid reads each weight once for its
-    alphas and once more for its betas."""
+    The moments are read from the measure's own table, which computes each
+    once; the weights are memoized, since a grid reads each weight once for
+    its alphas and once more for its betas."""
 
     def __init__(self, mu: Measure1D):
-        moment = self.moment = functools.cache(lambda k: mu.moment(k) if k else Fraction(1))
+        moment = self.moment = lambda k: mu.moment(k) if k else Fraction(1)
         self.weight_sq = functools.cache(lambda k: moment(k + 1) / moment(k))
 
 

@@ -1,6 +1,7 @@
 """Rational parsing, exact linear algebra, and the polynomial sign engine."""
 
 import doctest
+import re
 import sys
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -60,6 +61,50 @@ def test_parse_rational_rejects_garbage(bad):
     # digits are refused too
     with pytest.raises(ExactInputError, match="^malformed rational: "):
         parse_rational(bad)
+
+
+_REF_RATIONAL_PART = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _ref_parse_rational(text):
+    """The earlier parser: each matched part through Fraction's own string
+    parser, added up as Fractions."""
+    total = Fraction(0)
+    parts = text.split("+")
+    if not parts or any(not part.strip() for part in parts):
+        raise ExactInputError(f"malformed rational: {text!r}")
+    for part in parts:
+        part = part.strip()
+        try:
+            if not _REF_RATIONAL_PART.fullmatch(part):
+                raise ValueError(part)
+            total += Fraction(part)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ExactInputError(f"malformed rational: {part!r}") from exc
+    return total
+
+
+def _parsed(parse, text):
+    try:
+        value = parse(text)
+    except ExactInputError as exc:
+        return "error", str(exc)
+    assert type(value) is Fraction
+    return value
+
+
+@given(text=st.text(alphabet="0123456789-/+ ", max_size=12))
+@settings(max_examples=500, deadline=None)
+def test_parse_rational_equals_the_fraction_parser(text):
+    assert _parsed(parse_rational, text) == _parsed(_ref_parse_rational, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["-0/5", "007/010", "1/0", "1/-2", "\u0663", "1_0", "1e3", " 1/2 + 3 ", "1" * 5000, "1/" + "2" * 5000, "2/4+-1/2"],
+)
+def test_parse_rational_fixed_cases_equal_the_fraction_parser(text):
+    assert _parsed(parse_rational, text) == _parsed(_ref_parse_rational, text)
 
 
 def test_format_rational_past_the_digit_limit_is_an_input_error():

@@ -4,13 +4,16 @@ Expected values were computed by hand from the defining integrals before the
 assertions were written; every rational here is exact.
 """
 
+import copy
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shiftlab.exactnum import poly_scale, poly_shift_up
+from shiftlab.exactnum import poly_add, poly_nonneg_on_interval, poly_scale, poly_shift_up, poly_trim
 from shiftlab.measures import (
     INFINITE,
     Measure1D,
@@ -275,7 +278,7 @@ def test_extremal_two_atom_column():
     assert mu.inv_t_norm() == 2
     ext = extremal(mu)
     assert ext.total_mass() == 1
-    assert ext.marginal_x() == make1d([(F(0), F(1, 2)), (F(1), F(1, 2))])
+    assert _marginal(ext) == make1d([(F(0), F(1, 2)), (F(1), F(1, 2))])
     for j in range(4):
         for k in range(4):
             s_factor = F(1) if j == 0 else F(1, 2)
@@ -291,7 +294,7 @@ def test_extremal_mixed_corner_mass():
     assert mu.inv_t_norm() == F(4, 3)
     ext = extremal(mu)
     assert ext.total_mass() == 1
-    assert ext.marginal_x() == make1d([(F(0), F(5, 8)), (F(1), F(3, 8))])
+    assert _marginal(ext) == make1d([(F(0), F(5, 8)), (F(1), F(3, 8))])
 
 
 def test_extremal_requires_finite_norm():
@@ -316,7 +319,7 @@ def test_backward_ext_2var_accepts_below_threshold():
     mu = result.measure
     assert mu.is_probability()
     # first marginal reproduces the level measure exactly
-    assert mu.marginal_x() == three_atoms()
+    assert _marginal(mu) == three_atoms()
     assert mu.moment(1, 0) == F(1, 2)
 
 
@@ -382,8 +385,9 @@ def test_total_mass_is_sum_of_parts(masses):
 #
 # The references are the earlier routines: the 1/t norm as a direct sum, and
 # restriction, division by t, combination, make2d and extremal each passing
-# its result through make1d again.  The library builds those results
-# canonical by construction; both must give equal measures, errors and norms.
+# its result through the reference canonicalizer (below) again.  The library
+# builds those results canonical by construction; both must give equal
+# measures, errors and norms.
 
 
 def _raw(mu):
@@ -423,7 +427,7 @@ def _ref_divide_by_t(mu):
                 "a logarithmic moment measure; not representable"
             )
         segments.append((coeffs[1:], seg.lo, seg.hi))
-    return make1d(atoms, segments)
+    return _ref_make1d(atoms, segments)
 
 
 def _ref_restriction(mu, h):
@@ -434,15 +438,9 @@ def _ref_restriction(mu, h):
         raise MeasureError("measure concentrated at 0: degenerate restriction")
     atoms = [(x, m * x**h / gamma_h) for x, m in mu.atoms if x != 0]
     segments = [(poly_scale(poly_shift_up(list(s.coeffs), h), 1 / gamma_h), s.lo, s.hi) for s in mu.segments]
-    return make1d(atoms, segments)
+    return _ref_make1d(atoms, segments)
 
 
-def _ref_combine1d(terms):
-    atoms, segments = [], []
-    for c, mu in terms:
-        atoms.extend((x, c * m) for x, m in mu.atoms)
-        segments.extend((poly_scale(list(s.coeffs), c), s.lo, s.hi) for s in mu.segments)
-    return make1d(atoms, segments)
 
 
 def _ref_make2d(terms):
@@ -472,7 +470,7 @@ def _ref_extremal(mu):
         raise MeasureError("extremal measure undefined: no mass off t = 0")
     terms = []
     for term in mu.terms:
-        stripped = make1d([(x, m) for x, m in term.t_part.atoms if x != 0], _raw(term.t_part)[1])
+        stripped = _ref_make1d([(x, m) for x, m in term.t_part.atoms if x != 0], _raw(term.t_part)[1])
         terms.append((term.coeff / norm, term.s_part, _ref_divide_by_t(stripped)))
     return _ref_make2d(terms)
 
@@ -616,7 +614,7 @@ def test_backward_ext_2var_equals_the_two_step_reference(terms, nu, share, exces
     except MeasureError:
         xi, beta00_sq = nu, F(1, 2)
     else:
-        xi = combine1d([(share, ext.marginal_x()), (1 - share, nu)])
+        xi = combine1d([(share, _marginal(ext)), (1 - share, nu)])
         beta00_sq = excess * share / mu_m.inv_t_norm()
     try:
         expected = _ref_backward_ext_2var(mu_m, xi, beta00_sq)
@@ -700,3 +698,246 @@ def test_integer_moments_with_wide_denominators():
     for n in range(13):
         assert mu.moment(n) == _ref_moment(mu, n)
     assert mu.total_mass() == _ref_moment(mu, 0)
+
+
+# ---------------------------------------------------------------------------
+# the canonicalizer against the Fraction-keyed one it replaced
+#
+# The references are the earlier routines: atoms merged in a Fraction-keyed
+# dict, breakpoints found by comparing Fractions, and every piece of every
+# sum sign-tested.  The library merges on integers and sign-tests only the
+# pieces that raw input or a negative term reaches; on any data both must
+# give equal measures, or errors of one kind with one text.
+
+
+def _ref_make1d(atoms=(), segments=()):
+    acc = {}
+    for x, m in atoms:
+        if x < 0:
+            raise MeasureError(f"atom at negative point {x}")
+        acc[x] = acc.get(x, F(0)) + m
+    canon_atoms = []
+    for x in sorted(acc):
+        if acc[x] < 0:
+            raise NegativePartError(f"negative atom mass {acc[x]} at {x}")
+        if acc[x] != 0:
+            canon_atoms.append((x, acc[x]))
+    cleaned = []
+    for coeffs, lo, hi in segments:
+        if lo < 0:
+            raise MeasureError(f"segment with negative endpoint {lo}")
+        if lo > hi:
+            raise MeasureError(f"segment with lo {lo} > hi {hi}")
+        poly = poly_trim([F(c) for c in coeffs])
+        if lo == hi or not poly:
+            continue
+        cleaned.append((poly, lo, hi))
+    return Measure1D(tuple(canon_atoms), tuple(_ref_canonical_segments(cleaned)))
+
+
+def _ref_canonical_segments(raw):
+    if not raw:
+        return []
+    points = sorted({p for _, lo, hi in raw for p in (lo, hi)})
+    pieces = {}
+    for poly, lo, hi in raw:
+        inner = [p for p in points if lo <= p <= hi]
+        for a, b in zip(inner, inner[1:]):
+            pieces[(a, b)] = poly_add(pieces.get((a, b), []), poly)
+    out = []
+    for a, b in sorted(pieces):
+        poly = poly_trim(pieces[(a, b)])
+        if not poly:
+            continue
+        if not poly_nonneg_on_interval(poly, a, b):
+            raise NegativePartError(f"density negative somewhere on [{a}, {b}]")
+        if out and out[-1].hi == a and list(out[-1].coeffs) == poly:
+            out[-1] = Segment(out[-1].coeffs, out[-1].lo, b)
+        else:
+            out.append(Segment(tuple(poly), a, b))
+    return out
+
+
+def _ref_combine1d(terms):
+    """The earlier combine1d without its one-term shortcut: every sum is
+    canonicalized."""
+    atoms, segments = [], []
+    for c, mu in terms:
+        atoms.extend((x, c * m) for x, m in mu.atoms)
+        segments.extend((poly_scale(list(s.coeffs), c), s.lo, s.hi) for s in mu.segments)
+    return _ref_make1d(atoms, segments)
+
+
+def _ref_measure_sub(mu, nu):
+    return _ref_combine1d([(F(1), mu), (F(-1), nu)])
+
+
+def _ref_delta(point, mass=F(1)):
+    return _ref_make1d([(F(point), F(mass))])
+
+
+def _marginal(mu):
+    """The first marginal of a 2-D measure."""
+    return _ref_combine1d([(t.coeff, t.s_part) for t in mu.terms])
+
+
+_EDGES = [F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2)]
+_raw_mass = st.one_of(
+    st.fractions(min_value=0, max_value=2, max_denominator=6),
+    st.fractions(min_value=-2, max_value=2, max_denominator=6),
+)
+
+
+@st.composite
+def _raw_densities(draw):
+    """A nonnegative density, its negation, or signed coefficients; zeros
+    at the top included, so some trim to shorter or to nothing."""
+    kind = draw(st.sampled_from(["nonneg", "negated", "signed"]))
+    if kind == "signed":
+        return draw(st.lists(_raw_mass, max_size=4))
+    poly = draw(_density_on_unit()) + [F(0)] * draw(st.integers(min_value=0, max_value=1))
+    return [-c for c in poly] if kind == "negated" else poly
+
+
+@st.composite
+def _raw_data(draw):
+    """Signed, non-canonical make1d input: atoms at 0, at 1 and inside,
+    several at one point; pieces that touch or overlap, one density repeated
+    on adjacent intervals, zero-length pieces, and now and then a negative
+    point or endpoint or a reversed piece."""
+    atoms = draw(st.lists(st.tuples(st.sampled_from(_EDGES), _raw_mass), max_size=5))
+    polys = draw(st.lists(_raw_densities(), min_size=1, max_size=3))
+    segments = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        lo, hi = sorted(draw(st.tuples(st.sampled_from(_EDGES), st.sampled_from(_EDGES))))
+        segments.append((draw(st.sampled_from(polys)), lo, hi))
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        bad = draw(st.sampled_from(["point", "endpoint", "reversed"]))
+        if bad == "point":
+            atoms.insert(draw(st.integers(min_value=0, max_value=len(atoms))), (F(-1, 2), F(1)))
+        elif bad == "endpoint":
+            segments.append(([F(1)], F(-1, 4), F(1)))
+        else:
+            segments.append(([F(1)], F(1), F(1, 2)))
+    return atoms, segments
+
+
+@given(raw=_raw_data())
+@settings(max_examples=400, deadline=None)
+def test_make1d_equals_the_reference_on_raw_data(raw):
+    result = _outcome(make1d, *raw)
+    assert result == _outcome(_ref_make1d, *raw)
+    if not isinstance(result, tuple):
+        for x, m in result.atoms:
+            assert type(x) is F and type(m) is F
+        for seg in result.segments:
+            assert all(type(c) is F for c in seg.coeffs)
+
+
+_coefficients = st.sampled_from([F(-2), F(-1), F(-1, 3), F(0), F(1, 2), F(1), F(3)])
+
+
+@given(
+    terms=st.lists(st.tuples(_coefficients, canonical_measures()), min_size=1, max_size=3),
+    cancel=st.sampled_from([F(0), F(1, 2), F(1)]),
+)
+@settings(max_examples=300, deadline=None)
+def test_combine1d_equals_the_reference_on_signed_sums(terms, cancel):
+    # a negative multiple of a term already in the sum overlaps its
+    # positive pieces exactly; cancel = 1 wipes it out
+    c, mu = terms[0]
+    terms = terms + [(-cancel * abs(c), mu)]
+    assert _outcome(combine1d, terms) == _outcome(_ref_combine1d, terms)
+
+
+@given(
+    mu=canonical_measures(),
+    other=canonical_measures(),
+    share=st.sampled_from([F(0), F(1, 2), F(1), F(3, 2)]),
+    extra=st.sampled_from([F(0), F(1, 4)]),
+)
+@settings(max_examples=300, deadline=None)
+def test_measure_sub_equals_the_reference(mu, other, share, extra):
+    # nu = share * mu + extra * other is below mu only when share <= 1 and
+    # the extra part fits in what is left
+    nu = combine1d([(share, mu), (extra, other)])
+    assert _outcome(measure_sub, mu, nu) == _outcome(_ref_measure_sub, mu, nu)
+    assert _outcome(measure_sub, nu, mu) == _outcome(_ref_measure_sub, nu, mu)
+
+
+@given(point=st.sampled_from(_EDGES + [F(-1, 2)]), mass=_raw_mass)
+def test_delta_equals_the_reference(point, mass):
+    assert _outcome(delta, point, mass) == _outcome(_ref_delta, point, mass)
+    if mass > 0 and point >= 0:
+        assert delta(point, mass) == _ref_delta(point, mass)
+
+
+def test_canonicalizer_fixed_cases():
+    # equal densities on adjacent pieces merge; a negative term cancels a
+    # positive one exactly; the first failing piece is named
+    for atoms, segments in [
+        ([(F(0), F(1)), (F(1), F(1, 2)), (F(1), F(-1, 2))], [([F(1)], F(0), F(1, 2)), ([F(1)], F(1, 2), F(1))]),
+        ([], [([F(1), F(1)], F(0), F(1)), ([F(-1), F(-1)], F(1, 3), F(2, 3))]),
+        ([], [([F(1)], F(0), F(1)), ([F(-2)], F(1, 3), F(1, 2)), ([F(-2)], F(2, 3), F(1))]),
+        ([(F(1, 2), F(-1))], [([F(-1)], F(0), F(1))]),
+    ]:
+        assert _outcome(make1d, atoms, segments) == _outcome(_ref_make1d, atoms, segments)
+    assert _outcome(make1d, [], [([F(1)], F(0), F(1)), ([F(-2)], F(1, 3), F(1, 2))]) == (
+        NegativePartError,
+        "density negative somewhere on [1/3, 1/2]",
+    )
+    uniform = lebesgue()
+    assert measure_sub(uniform, density([F(1)], F(0), F(1, 2))) == density([F(1)], F(1, 2), F(1))
+
+
+# ---------------------------------------------------------------------------
+# the moment table
+#
+# Each measure keeps one table, extended on demand; whatever order the
+# moments are read in, each must equal the Fraction sum.
+
+
+def _wide_measure():
+    primes = [p for p in range(2, 400) if all(p % q for q in range(2, int(p**0.5) + 1))][:60]
+    atoms = tuple((F(p // 2, p), F(1, q)) for p, q in zip(primes[::2], primes[1::2]))
+    coeffs = tuple(F((-1) ** k * (k + 2), 2 * k + 3) for k in range(6))
+    return Measure1D(atoms, (Segment(coeffs, F(1, 3), F(7, 11)),))
+
+
+_TABLE_CASES = {
+    "atom-at-0": lambda: make1d([(F(0), F(1, 3)), (F(1, 2), F(2, 3))]),
+    "zero": lambda: Measure1D((), ()),
+    "wide-denominators": _wide_measure,
+    "atoms-and-pieces": lambda: make1d(
+        [(F(0), F(1, 5)), (F(1), F(1, 7))],
+        [([F(1), F(0), F(3, 2)], F(0), F(1, 3)), ([F(0), F(2)], F(1, 2), F(9, 10))],
+    ),
+    "piece-from-0": lambda: density([F(0), F(0), F(5, 4)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TABLE_CASES))
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_moment_table_reads_in_any_order(case, order):
+    orders = list(range(15))
+    if order == "descending":
+        orders.reverse()
+    elif order == "shuffled":
+        random.Random(case).shuffle(orders)
+    mu = _TABLE_CASES[case]()
+    expected = [_ref_moment(mu, n) for n in range(15)]
+    for n in orders + orders:
+        moment = mu.moment(n)
+        assert type(moment) is F and moment == expected[n]
+    first, last = _TABLE_CASES[case](), _TABLE_CASES[case]()
+    assert first.total_mass() == expected[0] and first.moment(14) == expected[14]
+    assert last.moment(14) == expected[14] and last.total_mass() == expected[0]
+    if case == "atom-at-0":
+        assert expected[0] == 1 and expected[1] == F(1, 3)  # 0**0 = 1, 0**1 = 0
+
+
+def test_copies_of_a_measure_start_a_fresh_table():
+    mu = _TABLE_CASES["atoms-and-pieces"]()
+    expected = [mu.moment(n) for n in range(6)]
+    for copied in (copy.deepcopy(mu), pickle.loads(pickle.dumps(mu))):
+        assert copied == mu and [copied.moment(n) for n in range(6)] == expected
