@@ -441,8 +441,6 @@ def _ref_restriction(mu, h):
     return _ref_make1d(atoms, segments)
 
 
-
-
 def _ref_make2d(terms):
     grouped = {}
     for coeff, s_part, t_part in terms:
