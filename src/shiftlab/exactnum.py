@@ -13,10 +13,8 @@ The first is settled by one fraction-free symmetric elimination on integers
 elimination", Math. Comp. 22, 1968) with a zero-pivot rule, the second by
 eliminating the radical (compare ``L = A1*A2 - P - Q`` against
 ``-2*sqrt(P*Q)`` via squaring), and the third by a ladder of certificates:
-endpoint signs, a closed form up to degree 2, nonnegative Bernstein
-coefficients on the interval or on its two halves, and last one Sturm count
-of the odd-multiplicity roots with one interior sign sample, the one
-complete method for every degree.
+endpoint signs, a closed form up to degree 2, and from degree 3 one Sturm
+count of the odd-multiplicity roots with one interior sign sample.
 
 Both matrix tests accept ints as well as Fractions.  A positive multiple of
 a matrix is PSD exactly when the matrix is, so the PSD test clears the
@@ -39,7 +37,7 @@ import re
 import sys
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 
 MAX_MATRIX_ORDER = 8
 
@@ -459,14 +457,8 @@ def poly_nonneg_on_interval(p: Poly, lo: Fraction, hi: Fraction) -> bool:
        the vertex ``-c1/(2*c2)`` not strictly inside (lo, hi) the minimum is
        at an endpoint; otherwise it is ``c0 - c1**2/(4*c2)``, so the verdict
        is ``c1**2 <= 4*c0*c2``.
-    4. Degree 3 and up: nonnegative Bernstein coefficients on [lo, hi]
-       certify True (the polynomial is then a nonnegative combination of
-       nonnegative basis polynomials).  A negative one decides nothing, so
-       the coefficients are tried once more on each half at the midpoint:
-       a root at an endpoint leaves a negative coefficient beside it on
-       the whole interval that often clears on the halves.
-    5. Otherwise Sturm, with no root search: p changes sign exactly at its
-       roots of odd multiplicity.  Their product (Yun's square-free
+    4. Degree 3 and up: Sturm, with no root search: p changes sign exactly
+       at its roots of odd multiplicity.  Their product (Yun's square-free
        factorization) gets one Sturm count on the open interval (lo, hi);
        any such root there decides False.  Else p has one sign inside,
        shown by the first nonzero value among deg equally spaced interior
@@ -489,22 +481,19 @@ def poly_nonneg_on_interval(p: Poly, lo: Fraction, hi: Fraction) -> bool:
     >>> poly_nonneg_on_interval(dip, Fraction(3, 4), Fraction(1))
     True
 
-    A nonnegative cubic with a root at lo, t*(t - 1/2)**2 on [0, 1], has a
-    negative Bernstein coefficient there, but none on [0, 1/2] or on
-    [1/2, 1]; the split certifies it.
+    The cubic t*((t - 1/2)**2 + 1/100) is square-free with one real root,
+    t = 0, at lo of [0, 1]: the Sturm count on (0, 1] is 0, and the first
+    sample is positive.
 
-    >>> cubic = [0 * one, one/4, -one, one]
-    >>> _bernstein_coefficients(cubic, Fraction(0), Fraction(1))
-    [Fraction(0, 1), Fraction(1, 12), Fraction(-1, 6), Fraction(1, 4)]
-    >>> _bernstein_coefficients(cubic, Fraction(0), Fraction(1, 2))
-    [Fraction(0, 1), Fraction(1, 24), Fraction(0, 1), Fraction(0, 1)]
-    >>> poly_nonneg_on_interval(cubic, Fraction(0), Fraction(1))
+    >>> bowl = [0 * one, one/4 + one/100, -one, one]
+    >>> sturm_count_halfopen(sturm_chain(bowl), Fraction(0), Fraction(1))
+    0
+    >>> poly_nonneg_on_interval(bowl, Fraction(0), Fraction(1))
     True
 
-    An interior double root defeats Bernstein on every interval that holds
-    it, so t*(t - 1/3)**2 on [0, 1] falls through to Sturm.  Its one odd
-    root, t = 0, is not inside (0, 1), so the first sample decides:
-    p(1/4) = 1/576.
+    A double root inside needs the square-free factorization: t*(t - 1/3)**2
+    on [0, 1] keeps only its odd root, t = 0, which is not inside (0, 1), so
+    the first sample decides: p(1/4) = 1/576.
 
     >>> notch = [0 * one, one/9, -2*one/3, one]
     >>> _odd_multiplicity_part(notch)
@@ -529,11 +518,6 @@ def poly_nonneg_on_interval(p: Poly, lo: Fraction, hi: Fraction) -> bool:
         if c2 < 0 or not 2 * c2 * lo < -c1 < 2 * c2 * hi:
             return True
         return c1 * c1 <= 4 * c0 * c2
-    mid = (lo + hi) / 2
-    if _bernstein_nonneg(p, lo, hi):
-        return True
-    if _bernstein_nonneg(p, lo, mid) and _bernstein_nonneg(p, mid, hi):
-        return True
     odd = _odd_multiplicity_part(p)
     if sturm_count_halfopen(sturm_chain(odd), lo, hi) - (poly_eval(odd, hi) == 0):
         return False
@@ -543,34 +527,6 @@ def poly_nonneg_on_interval(p: Poly, lo: Fraction, hi: Fraction) -> bool:
     step = (hi - lo) / len(p)
     samples = (poly_eval(p, lo + i * step) for i in range(1, len(p)))
     return next(v for v in samples if v) > 0
-
-
-def _bernstein_nonneg(p: Poly, lo: Fraction, hi: Fraction) -> bool:
-    return all(b >= 0 for b in _bernstein_coefficients(p, lo, hi))
-
-
-def _bernstein_coefficients(p: Poly, lo: Fraction, hi: Fraction) -> Poly:
-    """Coefficients of p in the degree-n Bernstein basis of [lo, hi].
-
-    Taylor shift to lo, scale by hi - lo so that q(s) = p(lo + (hi - lo)*s)
-    on [0, 1], then b_i = sum_{k<=i} C(i, k)/C(n, k) * q_k (Farouki and
-    Rajan, "Algorithms for polynomials in Bernstein form", CAGD 1988).
-    """
-    n = len(p) - 1
-    q = list(p)
-    if lo:
-        for i in range(n):
-            for j in range(n - 1, i - 1, -1):
-                q[j] += lo * q[j + 1]
-    width = hi - lo
-    scale = Fraction(1)
-    for k in range(1, n + 1):
-        scale *= width
-        q[k] *= scale
-    return [
-        sum((Fraction(comb(i, k), comb(n, k)) * q[k] for k in range(i + 1)), Fraction(0))
-        for i in range(n + 1)
-    ]
 
 
 if __name__ == "__main__":

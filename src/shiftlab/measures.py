@@ -20,7 +20,9 @@ Every other operation (scaling, restriction, division by t) keeps pieces
 nonnegative and distinct, so it builds its canonical result directly.
 
 Each Measure1D keeps one moment table, extended on demand from running
-integer powers, so every distinct moment of a measure is computed once.
+integer powers, so every distinct moment of a measure is computed once, and
+builds its quotient (1/t) dmu once, on first use: the 1/t norm, `extremal`
+and both backward extensions read that one quotient and its table.
 """
 
 from __future__ import annotations
@@ -121,18 +123,23 @@ class Measure1D:
         return [], _moments(self.atoms, self.segments)
 
     def __reduce__(self):
-        return Measure1D, (self.atoms, self.segments)  # copies start a fresh table
+        return Measure1D, (self.atoms, self.segments)  # copies start a fresh table and quotient
 
     def atom_mass(self, point: Fraction) -> Fraction:
         return dict(self.atoms).get(point, Fraction(0))
 
     # -- 1/t calculus
 
+    @cached_property
+    def _over_t(self) -> "Measure1D":
+        """(1/t) dmu (:func:`_divide_by_t`), built on first read; an error is not kept."""
+        return _divide_by_t(self)
+
     def inv_t_norm(self) -> NormValue:
-        """Integral of 1/t: the mass of (1/t) dmu (:func:`_divide_by_t`), or
-        INFINITE when that division diverges."""
+        """Integral of 1/t: the mass of (1/t) dmu, or INFINITE when that
+        division diverges."""
         try:
-            return _divide_by_t(self).total_mass()
+            return self._over_t.total_mass()
         except _DivergentError:
             return INFINITE
 
@@ -502,8 +509,7 @@ def extremal(mu: Measure2D) -> Measure2D:
         raise MeasureError("extremal measure undefined: 1/t norm diverges")
     if norm == 0:
         raise MeasureError("extremal measure undefined: no mass off t = 0")
-    # a finite norm leaves no t-mass at 0, so each t-factor divides as it is
-    return make2d([(term.coeff / norm, term.s_part, _divide_by_t(term.t_part)) for term in mu.terms])
+    return make2d([(term.coeff / norm, term.s_part, term.t_part._over_t) for term in mu.terms])
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +543,7 @@ def backward_ext_1var(eta_m: Measure1D, beta0_sq: Fraction) -> ExtensionResult:
         return ExtensionResult(False, "i", None, norm)
     if beta0_sq * norm > 1:
         return ExtensionResult(False, "ii", None, norm)
-    extended = combine1d([(beta0_sq, _divide_by_t(eta_m)), (1 - beta0_sq * norm, delta(Fraction(0)))])
+    extended = combine1d([(beta0_sq, eta_m._over_t), (1 - beta0_sq * norm, delta(Fraction(0)))])
     return ExtensionResult(True, None, extended, norm)
 
 
@@ -563,8 +569,7 @@ def backward_ext_2var(mu_m: Measure2D, xi: Measure1D, beta00_sq: Fraction) -> Ex
         return ExtensionResult(False, "i", None, norm)
     if beta00_sq * norm > 1:
         return ExtensionResult(False, "ii", None, norm)
-    # the finite norm leaves no t-mass at 0, so each t-factor divides as it is
-    terms = [(beta00_sq * t.coeff, t.s_part, _divide_by_t(t.t_part)) for t in mu_m.terms]
+    terms = [(beta00_sq * t.coeff, t.s_part, t.t_part._over_t) for t in mu_m.terms]
     try:
         remainder = combine1d([(Fraction(1), xi)] + [(-c * t_part.total_mass(), s_part) for c, s_part, t_part in terms])
     except NegativePartError:

@@ -24,7 +24,6 @@ from .measures import (
     Measure2D,
     MeasureError,
     NegativePartError,
-    _divide_by_t,
     backward_ext_2var,
     combine1d,
     delta,
@@ -83,7 +82,7 @@ def _params(xi: Measure1D, eta1: Measure1D, a_sq: Fraction, y0_sq: Fraction, whe
     A restriction never charges 0 and its density pieces have no constant
     term, so only an eta1 given directly can fail the 1/t pass."""
     try:
-        inv_t_norm = _divide_by_t(eta1).total_mass()
+        inv_t_norm = eta1._over_t.total_mass()
     except MeasureError as exc:
         raise SFCError(f"{where}: {exc}") from exc
     a_sq, y0_sq = Fraction(a_sq), Fraction(y0_sq)

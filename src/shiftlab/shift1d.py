@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .exactnum import Matrix, format_rational, matrix_det, parse_list_field, parse_rational_field, psd_check
+from .exactnum import Matrix, format_rational, parse_list_field, parse_rational_field, psd_check
 from .measures import Measure1D, MeasureError
 
 
@@ -314,10 +314,6 @@ def propagation_audit(w: WeightSeq, max_order: int, window: int) -> AuditResult:
         if base is not None:
             return AuditResult("WITNESS", order=order, base=base)
     return AuditResult("INCONCLUSIVE", max_order=max_order)
-
-
-def hankel_det(w: WeightSeq, order: int, base: int) -> Fraction:
-    return matrix_det(hankel_matrix(w, order, base))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 
 from shiftlab.cli import main
-from shiftlab.exactnum import psd2_radical_cross
+from shiftlab.exactnum import matrix_det, psd2_radical_cross
 from shiftlab.measures import combine1d, delta, density, extremal, lebesgue, make1d, make2d
 from shiftlab.sfc import (
     classify,
@@ -31,7 +31,7 @@ from shiftlab.shift1d import (
     beta_family_reciprocal_product,
     beta_r_family,
     flat_shift,
-    hankel_det,
+    hankel_matrix,
     make_weights,
     propagation_audit,
     verify_berger,
@@ -57,7 +57,7 @@ def test_criterion_01_closed_form_determinants():
         gammas = w.gamma(50)
         for k in range(51):
             closed = bergman_like_hankel2_det(ell, k, gammas[k])
-            assert closed == hankel_det(w, 2, k)
+            assert closed == matrix_det(hankel_matrix(w, 2, k))
             instances += 1
     assert instances == 255
     assert bergman_like_hankel2_det(1, 0, F(1)) == F(1, 2160)
@@ -120,7 +120,7 @@ def test_criterion_06_propagation_witness():
     result = propagation_audit(w, 4, 10)
     assert result.kind == "WITNESS"
     assert (result.order, result.base) == (2, 0)
-    assert hankel_det(w, 2, 0) == F(-9, 4096)
+    assert matrix_det(hankel_matrix(w, 2, 0)) == F(-9, 4096)
 
 
 def test_criterion_07_threshold_closed_forms():

@@ -6,7 +6,7 @@ import sys
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import shiftlab.exactnum
 from shiftlab.exactnum import (
     ExactInputError,
-    _bernstein_coefficients,
     _odd_multiplicity_part,
     decimal_string,
     format_rational,
@@ -475,14 +474,12 @@ def test_poly_nonneg_certificate_rungs():
     assert poly_nonneg_on_interval(square, zero, one)
     # vertex inside with a negative minimum between nonnegative endpoints
     assert not poly_nonneg_on_interval([f(3, 16), -one, one], zero, one)
-    # a nonnegative cubic with a negative Bernstein coefficient:
+    # a nonnegative cubic with its odd root at lo and a double root inside:
     # t*(t - 1/2)**2 on [0, 1]
     cubic = poly_mul([zero, one], square)
-    assert min(_bernstein_coefficients(cubic, zero, one)) < 0
     assert poly_nonneg_on_interval(cubic, zero, one)
     # its mirror (1 - t)*(t - 1/2)**2 has its odd root at hi, not inside
     mirror = poly_mul([one, -one], square)
-    assert min(_bernstein_coefficients(mirror, zero, one)) < 0
     assert poly_nonneg_on_interval(mirror, zero, one)
     # a cubic that dips below 0 between nonnegative endpoints:
     # t*((t - 1/2)**2 - 1/100) on [0, 1]
@@ -491,25 +488,23 @@ def test_poly_nonneg_certificate_rungs():
     assert not poly_nonneg_on_interval(dip, zero, one)
 
 
-def test_bernstein_split_certifies_cubics_with_an_endpoint_root(monkeypatch):
+def test_sturm_certifies_cubics_with_an_odd_root_at_an_endpoint(monkeypatch):
     f, zero, one = Fraction, Fraction(0), Fraction(1)
-    # t*((t - 1/2)**2 + 1/100) on [0, 1] vanishes at lo; its Bernstein
-    # coefficients fail on [0, 1] and pass on both halves, so no Sturm chain
-    # is built.  The mirror (1 - t)*(...) vanishes at hi.
+    # t*((t - 1/2)**2 + 1/100) on [0, 1] vanishes at lo, and the mirror
+    # (1 - t)*(...) at hi; each has one real root, outside (lo, hi), so one
+    # Sturm chain per cubic finds no sign change inside
     bowl = [f(1, 4) + f(1, 100), -one, one]
     at_lo = poly_mul([zero, one], bowl)
     at_hi = poly_mul([one, -one], bowl)
     # the same shape on [2, 4]: root at lo = 2
     shifted = poly_mul([-2 * one, one], [f(9) + f(1, 25), -6 * one, one])
     cases = [(at_lo, zero, one), (at_hi, zero, one), (shifted, f(2), f(4))]
-    for p, lo, hi in cases:
-        mid = (lo + hi) / 2
-        assert min(_bernstein_coefficients(p, lo, hi)) < 0
-        assert min(_bernstein_coefficients(p, lo, mid) + _bernstein_coefficients(p, mid, hi)) >= 0
-    monkeypatch.setattr(shiftlab.exactnum, "sturm_chain", None)
+    chains = []
+    monkeypatch.setattr(shiftlab.exactnum, "sturm_chain", lambda p: chains.append(p) or sturm_chain(p))
     for p, lo, hi in cases:
         assert poly_nonneg_on_interval(p, lo, hi)
         assert _nonneg_by_sturm(p, lo, hi)
+    assert len(chains) == len(cases)
 
 
 def test_odd_multiplicity_part_keeps_each_odd_root_once():
@@ -543,35 +538,13 @@ def test_poly_nonneg_reads_a_nonzero_sample_past_double_roots_on_samples():
     square = lambda r: [r * r, -2 * r, one]
     # degree 4 on [0, 1]: samples 1/5, 2/5, 3/5, 4/5
     bumps = poly_mul(square(f(1, 5)), square(f(2, 5)))
-    assert min(_bernstein_coefficients(bumps, zero, one)) < 0
     assert poly_eval(bumps, f(1, 5)) == poly_eval(bumps, f(2, 5)) == 0
     assert poly_nonneg_on_interval(bumps, zero, one)
     # degree 8 on [0, 1]: samples i/9; -t**2 (t - 1)**2 (t - 1/9)**2 (t - 2/9)**2
     # is 0 at both ends and at the first two samples, negative elsewhere
     well = [-c for c in poly_mul(poly_mul(square(zero), square(one)), poly_mul(square(f(1, 9)), square(f(2, 9))))]
-    assert min(_bernstein_coefficients(well, zero, one)) < 0
     assert poly_eval(well, f(1, 9)) == poly_eval(well, f(2, 9)) == 0
     assert not poly_nonneg_on_interval(well, zero, one)
-
-
-@given(
-    coeffs=st.lists(_small_rationals, min_size=4, max_size=7),
-    lo=_small_rationals,
-    width=st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6),
-    s=st.fractions(min_value=0, max_value=1, max_denominator=10),
-)
-@settings(max_examples=100)
-def test_bernstein_coefficients_reproduce_the_polynomial(coeffs, lo, width, s):
-    # sum_i b_i C(n, i) s**i (1 - s)**(n - i) = p(lo + width*s) on [0, 1]
-    b = _bernstein_coefficients(coeffs, lo, lo + width)
-    n = len(coeffs) - 1
-    value = sum(b[i] * comb(n, i) * s**i * (1 - s) ** (n - i) for i in range(n + 1))
-    assert value == poly_eval(coeffs, lo + width * s)
-    # 1 + t**3 on [-1/2, 1/2]: q(s) = 7/8 + 3/4 s - 3/2 s**2 + s**3
-    one = Fraction(1)
-    assert _bernstein_coefficients([one, 0 * one, 0 * one, one], -one / 2, one / 2) == [
-        Fraction(7, 8), Fraction(9, 8), Fraction(7, 8), Fraction(9, 8)
-    ]
 
 
 @given(

@@ -10,9 +10,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import shiftlab.measures
 from shiftlab.exactnum import poly_add, poly_nonneg_on_interval, poly_scale, poly_shift_up, poly_trim
 from shiftlab.measures import (
     INFINITE,
@@ -38,6 +39,7 @@ from shiftlab.measures import (
     measure1d_from_json,
     measure_sub,
 )
+from shiftlab.sfc import example_family, sfc_mu_m
 
 F = Fraction
 
@@ -394,6 +396,12 @@ def _raw(mu):
     return [(x, m) for x, m in mu.atoms], [(list(s.coeffs), s.lo, s.hi) for s in mu.segments]
 
 
+_LOG_TEXT = (
+    "dividing a density with nonzero constant term by t yields "
+    "a logarithmic moment measure; not representable"
+)
+
+
 def _ref_inv_t_norm(mu):
     total = F(0)
     for x, m in mu.atoms:
@@ -405,8 +413,18 @@ def _ref_inv_t_norm(mu):
         if coeffs[0] != 0:
             if seg.lo == 0:
                 return INFINITE
-            raise UnsupportedDensityError("logarithmic 1/t integral")
+            raise UnsupportedDensityError(_LOG_TEXT)
         total += _ref_segment_integral(coeffs[1:], seg.lo, seg.hi)
+    return total
+
+
+def _ref_inv_t_norm_2d(mu):
+    total = F(0)
+    for term in mu.terms:
+        norm = _ref_inv_t_norm(term.t_part)
+        if norm is INFINITE:
+            return INFINITE
+        total += term.coeff * norm
     return total
 
 
@@ -422,10 +440,7 @@ def _ref_divide_by_t(mu):
         if coeffs[0] != 0:
             if seg.lo == 0:
                 raise MeasureError("divergent division by t at 0")
-            raise UnsupportedDensityError(
-                "dividing a density with nonzero constant term by t yields "
-                "a logarithmic moment measure; not representable"
-            )
+            raise UnsupportedDensityError(_LOG_TEXT)
         segments.append((coeffs[1:], seg.lo, seg.hi))
     return _ref_make1d(atoms, segments)
 
@@ -461,7 +476,7 @@ def _ref_make2d(terms):
 
 
 def _ref_extremal(mu):
-    norm = mu.inv_t_norm()
+    norm = _ref_inv_t_norm_2d(mu)
     if norm is INFINITE:
         raise MeasureError("extremal measure undefined: 1/t norm diverges")
     if norm == 0:
@@ -474,7 +489,7 @@ def _ref_extremal(mu):
 
 
 def _ref_backward_ext_2var(mu_m, xi, beta00_sq):
-    norm = mu_m.inv_t_norm()
+    norm = _ref_inv_t_norm_2d(mu_m)
     if norm is INFINITE or beta00_sq * norm > 1:
         return None
     ext = _ref_extremal(mu_m)
@@ -559,11 +574,8 @@ def _product_terms(draw):
 @given(mu=canonical_measures())
 @settings(max_examples=150, deadline=None)
 def test_one_variable_results_equal_the_canonicalizing_references(mu):
-    ref_norm, norm = _outcome(_ref_inv_t_norm, mu), _outcome(mu.inv_t_norm)
-    if isinstance(ref_norm, tuple):  # the text now comes from _divide_by_t
-        assert isinstance(norm, tuple) and norm[0] is ref_norm[0] is UnsupportedDensityError
-    else:
-        assert norm == ref_norm
+    norm = _outcome(mu.inv_t_norm)
+    assert norm == _outcome(_ref_inv_t_norm, mu)
     divided = _outcome(_divide_by_t, mu)
     assert divided == _outcome(_ref_divide_by_t, mu)
     if not isinstance(divided, tuple):
@@ -580,18 +592,42 @@ def test_one_variable_results_equal_the_canonicalizing_references(mu):
                 _assert_canonical(restricted)
 
 
+_LOG_FACTOR = density([F(1)], F(1, 2), F(1))  # 1/t on [1/2, 1] gives a logarithm
+
+
 @given(terms=_product_terms())
+@example(terms=[(F(1), delta(F(0)), _LOG_FACTOR), (F(1), delta(F(1)), lebesgue())])
+@example(terms=[(F(1), delta(F(0)), lebesgue()), (F(1), delta(F(1)), _LOG_FACTOR)])
 @settings(max_examples=60, deadline=None)
 def test_two_variable_results_equal_the_canonicalizing_references(terms):
     mu = make2d(terms)
     assert mu == _ref_make2d(terms)
     for term in mu.terms:
         _assert_canonical(term.t_part)
+    # the first t-factor that fails decides: a divergent one reads INFINITE,
+    # a logarithmic one raises; the examples put each first
+    assert _outcome(mu.inv_t_norm) == _outcome(_ref_inv_t_norm_2d, mu)
     ext = _outcome(extremal, mu)
     assert ext == _outcome(_ref_extremal, mu)
     if not isinstance(ext, tuple):
         for term in ext.terms:
             _assert_canonical(term.t_part)
+
+
+def test_each_measure_divides_by_t_once(monkeypatch):
+    calls = []
+    divide = shiftlab.measures._divide_by_t
+    monkeypatch.setattr(shiftlab.measures, "_divide_by_t", lambda mu: calls.append(mu) or divide(mu))
+    p = example_family(F(1, 2), F(1), y0_sq=F(2, 5))
+    for run in (lambda mu: backward_ext_2var(mu, p.xi, p.y0_sq), extremal):
+        mu_m = sfc_mu_m(p)
+        calls.clear()
+        run(mu_m)
+        assert len(calls) == len(mu_m.terms) == 2
+    eta_m = density([F(0), F(2)])
+    calls.clear()
+    backward_ext_1var(eta_m, F(1, 2))
+    assert calls == [eta_m]
 
 
 @given(
@@ -678,11 +714,7 @@ def test_integer_moments_equal_the_fraction_sums(mu):
     assert mu.total_mass() == mu.moment(0)
     for seg in mu.segments:
         assert _segment_integral(list(seg.coeffs), seg.lo, seg.hi) == _ref_segment_integral(seg.coeffs, seg.lo, seg.hi)
-    ref_norm, norm = _outcome(_ref_inv_t_norm, mu), _outcome(mu.inv_t_norm)
-    if isinstance(ref_norm, tuple):
-        assert isinstance(norm, tuple) and norm[0] is ref_norm[0] is UnsupportedDensityError
-    else:
-        assert norm == ref_norm
+    assert _outcome(mu.inv_t_norm) == _outcome(_ref_inv_t_norm, mu)
 
 
 def test_integer_moments_with_wide_denominators():
@@ -935,7 +967,11 @@ def test_moment_table_reads_in_any_order(case, order):
 
 
 def test_copies_of_a_measure_start_a_fresh_table():
-    mu = _TABLE_CASES["atoms-and-pieces"]()
-    expected = [mu.moment(n) for n in range(6)]
-    for copied in (copy.deepcopy(mu), pickle.loads(pickle.dumps(mu))):
-        assert copied == mu and [copied.moment(n) for n in range(6)] == expected
+    for case in ("atoms-and-pieces", "piece-from-0"):
+        mu = _TABLE_CASES[case]()
+        norm = mu.inv_t_norm()  # INFINITE, or a quotient held by mu
+        expected = [mu.moment(n) for n in range(6)]
+        for copied in (copy.deepcopy(mu), pickle.loads(pickle.dumps(mu))):
+            assert "_over_t" not in vars(copied) and "_moment_table" not in vars(copied)
+            assert copied == mu and [copied.moment(n) for n in range(6)] == expected
+            assert copied.inv_t_norm() == norm
