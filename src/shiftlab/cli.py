@@ -35,7 +35,7 @@ from .measures import MeasureError
 from .sfc import SFCError, classify, params_from_json, scan_csv_text, scan_region
 # hankel_psd is not called here: it stays importable as cli.hankel_psd
 # because certbench/spans.py wraps it at this module.
-from .shift1d import ShiftError, hankel_psd, hyponormal_witness, khypo_witness, weights_from_json
+from .shift1d import ShiftError, hankel_psd, khypo_witness, weights_from_json
 from .shift2d import (
     GridError,
     ShiftGrid2D,
@@ -179,7 +179,7 @@ def _cmd_moments(args) -> int:
 
 def _cmd_check_hypo(args) -> int:
     window = _window_1d(args)
-    witness = hyponormal_witness(weights_from_json(_load_json(args.spec), args.spec), window)
+    witness = khypo_witness(weights_from_json(_load_json(args.spec), args.spec), 1, window - 1)
     doc = {
         "command": "check-hypo",
         "window": window,

@@ -447,25 +447,21 @@ class Measure2D:
         return sum((t.coeff * t.s_part.moment(j) * t.t_part.moment(k) for t in self.terms), Fraction(0))
 
     def inv_t_norm(self) -> NormValue:
-        total = Fraction(0)
+        """The terms' 1/t norms summed: INFINITE when any t-factor diverges,
+        whatever the term order, else a logarithmic t-factor raises."""
+        total, log_error = Fraction(0), None
         for term in self.terms:
-            norm = term.t_part.inv_t_norm()
+            try:
+                norm = term.t_part.inv_t_norm()
+            except UnsupportedDensityError as exc:
+                log_error = exc
+                continue
             if norm is INFINITE:
                 return INFINITE
             total += term.coeff * norm
+        if log_error:
+            raise log_error
         return total
-
-    def to_json_obj(self) -> dict:
-        return {
-            "terms": [
-                {
-                    "coeff": format_rational(t.coeff),
-                    "s": t.s_part.to_json_obj(),
-                    "t": t.t_part.to_json_obj(),
-                }
-                for t in self.terms
-            ]
-        }
 
 
 def _s_components(s: Measure1D) -> list[tuple[tuple, Fraction, Measure1D]]:

@@ -15,6 +15,7 @@ comparison of y0_sq against them.  All threshold arithmetic is exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +34,8 @@ from .measures import (
     measure1d_from_json,
     measure_sub,
 )
-from .shift2d import ShiftGrid2D, build_sfc_grid
+from .shift1d import WeightSeq, WeightTail
+from .shift2d import ShiftGrid2D
 
 
 class SFCError(ValueError):
@@ -210,8 +212,34 @@ def example_family(a_sq: Fraction, r_sq: Fraction, y0_sq: Fraction | None = None
 # cross-checks against the grid and measure machinery
 
 
+class _MomentShift:
+    """The 1-variable shift of a probability measure, weight_sq(k) =
+    m_(k+1) / m_k, memoized: a grid reads each weight for its alphas and
+    again for its betas."""
+
+    def __init__(self, mu: Measure1D):
+        self.weight_sq = functools.cache(lambda k: mu.moment(k + 1) / mu.moment(k))
+
+
 def sfc_grid(p: SFCParams) -> ShiftGrid2D:
-    return build_sfc_grid(p.xi, p.eta1, p.a_sq, p.y0_sq)
+    """Level 0 is the shift of xi; level k2 >= 1 is the flat shift
+    a_sq / m_(k2-1), 1, 1, ... with m the moments of eta1, built without
+    `make_weights` since a_sq > 0 and each m_k > 0; the column seeds are
+    y0_sq, then the shift of eta1."""
+    row0, column, ones = _MomentShift(p.xi), _MomentShift(p.eta1), WeightTail("constant", Fraction(1))
+    spec = {
+        "model": "sfc",
+        "xi": p.xi.to_json_obj(),
+        "eta1": p.eta1.to_json_obj(),
+        "a_sq": format_rational(p.a_sq),
+        "y0_sq": format_rational(p.y0_sq),
+    }
+    return ShiftGrid2D(
+        "sfc",
+        lambda k2: row0 if k2 == 0 else WeightSeq((p.a_sq / p.eta1.moment(k2 - 1),), ones),
+        lambda k2: p.y0_sq if k2 == 0 else column.weight_sq(k2 - 1),
+        spec,
+    )
 
 
 def sfc_mu_m(p: SFCParams) -> Measure2D:

@@ -173,14 +173,6 @@ def weights_from_json(obj: object, where: str = "weights") -> WeightSeq:
 # positivity tests
 
 
-def hyponormal_witness(w: WeightSeq, window: int) -> int | None:
-    """First k < window with weight_sq(k + 1) < weight_sq(k), or None when
-    the squared weights are nondecreasing on [0, window]."""
-    if window < 1:
-        raise ShiftError(f"window must be >= 1, got {window}")
-    return next((k for k in range(window) if w.weight_sq(k + 1) < w.weight_sq(k)), None)
-
-
 def hankel_matrix(w: WeightSeq, order: int, base: int) -> Matrix:
     """(gamma_(base+i+j)) for i, j in 0..order."""
     if order < 1 or base < 0:

@@ -30,8 +30,8 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .exactnum import format_rational, parse_list_field, parse_rational_field, psd2_radical_cross
-from .measures import Measure1D, backward_ext_2var, density, make1d, make2d
-from .shift1d import WeightSeq, WeightTail, alpha_family, bergman_like, flat_shift, unilateral, weights_from_json
+from .measures import backward_ext_2var, density, make1d, make2d
+from .shift1d import WeightSeq, alpha_family, bergman_like, flat_shift, unilateral, weights_from_json
 
 Index = tuple[int, int]
 
@@ -40,23 +40,10 @@ class GridError(ValueError):
     """Invalid grid data, parameters, or index."""
 
 
-class _MomentShift:
-    """The 1-variable shift of a probability measure: weight_sq(k) =
-    m_(k+1) / m_k, with m_0 = 1.
-
-    The moments are read from the measure's own table, which computes each
-    once; the weights are memoized, since a grid reads each weight once for
-    its alphas and once more for its betas."""
-
-    def __init__(self, mu: Measure1D):
-        moment = self.moment = lambda k: mu.moment(k) if k else Fraction(1)
-        self.weight_sq = functools.cache(lambda k: moment(k + 1) / moment(k))
-
-
 class ShiftGrid2D:
     """A 2-variable shift as its stack of levels: level(k2) is the
-    1-variable shift whose weights are the alphas of level k2, and
-    seed(k2) = beta_sq(0, k2).
+    1-variable shift (anything with weight_sq) whose weights are the alphas
+    of level k2, and seed(k2) = beta_sq(0, k2).
 
     Each level's betas follow the commuting identity left to right, kept in
     a list so that no index recurses; equal alphas carry the beta across
@@ -67,7 +54,7 @@ class ShiftGrid2D:
     def __init__(
         self,
         model: str,
-        level: Callable[[int], WeightSeq | _MomentShift],
+        level: Callable[[int], WeightSeq],
         seed: Callable[[int], Fraction],
         spec: dict,
     ):
@@ -794,35 +781,6 @@ def _figure5_report(k2: int, alpha0_sq: Fraction, seeds: list[Fraction], chain: 
     verdict = all(c.holds for c, _ in conditions)
     witness = next(((index, c.name) for c, index in conditions if not c.holds), None)
     return WindowReport(verdict, witness=witness, conditions=tuple(c for c, _ in conditions))
-
-
-# ---------------------------------------------------------------------------
-# family: symmetrically flat contractive grid
-
-
-def build_sfc_grid(xi: Measure1D, eta1: Measure1D, a_sq: Fraction, y0_sq: Fraction) -> ShiftGrid2D:
-    """Level 0 is the shift of xi; level k2 >= 1 is the flat shift
-    a_sq / m_(k2-1), 1, 1, ... with m the moments of eta1, built without
-    `make_weights` since a_sq > 0 and each m_k > 0; the column seeds are
-    y0_sq, then the shift of eta1.  Both measures are probability measures
-    and eta1 has no atom at 0, as `sfc.make_params` ensures."""
-    a_sq, y0_sq = Fraction(a_sq), Fraction(y0_sq)
-    if a_sq <= 0 or y0_sq <= 0:
-        raise GridError("need positive a_sq and y0_sq")
-    row0, column, ones = _MomentShift(xi), _MomentShift(eta1), WeightTail("constant", Fraction(1))
-    spec = {
-        "model": "sfc",
-        "xi": xi.to_json_obj(),
-        "eta1": eta1.to_json_obj(),
-        "a_sq": format_rational(a_sq),
-        "y0_sq": format_rational(y0_sq),
-    }
-    return ShiftGrid2D(
-        "sfc",
-        lambda k2: row0 if k2 == 0 else WeightSeq((a_sq / column.moment(k2 - 1),), ones),
-        lambda k2: y0_sq if k2 == 0 else column.weight_sq(k2 - 1),
-        spec,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from shiftlab.cli import _canonical_json, build_parser, main
 from shiftlab.exactnum import decimal_string, format_rational
 from shiftlab.measures import MeasureError, _segment_integral, combine1d, delta, lebesgue, make1d
 from shiftlab.sfc import SFCError, example_family, make_params, params_from_json, sfc_grid
-from shiftlab.shift1d import hyponormal_witness, khypo_witness, weights_from_json
+from shiftlab.shift1d import khypo_witness, weights_from_json
 
 F = Fraction
 
@@ -227,7 +227,7 @@ def test_cli_and_library_witnesses_match_brute_force(prefix, tail, ascending, or
             ["check-khypo", path, "--k", str(order), "--window", str(window)]
         )
     # hyponormality at k is PSD of the order-1 Hankel matrix based at k
-    assert hypo == hyponormal_witness(w, window) == _brute_first_failure(weights_sq, 1, window - 1)
+    assert hypo == khypo_witness(w, 1, window - 1) == _brute_first_failure(weights_sq, 1, window - 1)
     assert khypo == khypo_witness(w, order, window) == _brute_first_failure(weights_sq, order, window)
 
 
@@ -238,24 +238,27 @@ def test_check_khypo_order_bounds(capsys, specs):
 
 
 _BASE_1_FAILS = "1-hyponormal on window 6: FAIL\n  moment matrix of order 1 based at 1 is not PSD\n"
+_DECREASE_AT_1 = "hyponormal on window 7: FAIL\n  weights decrease between positions 1 and 2\n"
+_NO_INDEX_2 = "error: finite weight sequence has no index 2\n"
 
 
 @pytest.mark.parametrize(
-    ("prefix", "code", "out", "err"),
+    ("prefix", "khypo", "hypo"),
     [
-        (["1/2", "1/2", "1/4", "1"], 1, _BASE_1_FAILS, ""),
-        (["1/2", "1/2"], 2, "", "error: finite weight sequence has no index 2\n"),
+        (["1/2", "1/2", "1/4", "1"], (1, _BASE_1_FAILS, ""), (1, _DECREASE_AT_1, "")),
+        (["1/2", "1/2"], (2, "", _NO_INDEX_2), (2, "", _NO_INDEX_2)),
     ],
     ids=["witness_inside_the_prefix", "scan_past_the_prefix"],
 )
-def test_check_khypo_reads_a_finite_sequence_only_as_far_as_it_scans(tmp_path, capsys, prefix, code, out, err):
+def test_check_khypo_reads_a_finite_sequence_only_as_far_as_it_scans(tmp_path, capsys, prefix, khypo, hypo):
     # base 0 is PSD and base 1 fails, reading up to index 2: the first
     # sequence has it, the second does not; reading the whole window first
-    # would make both exit 2
+    # would make both exit 2.  check-hypo --window 7 is the same order-1
+    # scan over bases 0..6.
     path = tmp_path / "finite.json"
     path.write_text(json.dumps({"prefix_sq": prefix, "tail": {"kind": "none"}}), encoding="utf-8")
-    result = run(capsys, ["check-khypo", str(path), "--k", "1", "--window", "6"])
-    assert result == (code, out, err)
+    assert run(capsys, ["check-khypo", str(path), "--k", "1", "--window", "6"]) == khypo
+    assert run(capsys, ["check-hypo", str(path), "--window", "7"]) == hypo
 
 
 # ---------------------------------------------------------------------------

@@ -419,13 +419,9 @@ def _ref_inv_t_norm(mu):
 
 
 def _ref_inv_t_norm_2d(mu):
-    total = F(0)
-    for term in mu.terms:
-        norm = _ref_inv_t_norm(term.t_part)
-        if norm is INFINITE:
-            return INFINITE
-        total += term.coeff * norm
-    return total
+    if any(_outcome(_ref_inv_t_norm, term.t_part) is INFINITE for term in mu.terms):
+        return INFINITE
+    return sum((term.coeff * _ref_inv_t_norm(term.t_part) for term in mu.terms), F(0))
 
 
 def _ref_divide_by_t(mu):
@@ -604,14 +600,26 @@ def test_two_variable_results_equal_the_canonicalizing_references(terms):
     assert mu == _ref_make2d(terms)
     for term in mu.terms:
         _assert_canonical(term.t_part)
-    # the first t-factor that fails decides: a divergent one reads INFINITE,
-    # a logarithmic one raises; the examples put each first
+    # a divergent t-factor reads INFINITE wherever it sits; a logarithmic one
+    # raises only when none diverges; the examples put each first
     assert _outcome(mu.inv_t_norm) == _outcome(_ref_inv_t_norm_2d, mu)
     ext = _outcome(extremal, mu)
     assert ext == _outcome(_ref_extremal, mu)
     if not isinstance(ext, tuple):
         for term in ext.terms:
             _assert_canonical(term.t_part)
+
+
+@pytest.mark.parametrize("log_under_zero", [True, False])
+def test_a_divergent_t_factor_decides_in_either_term_order(log_under_zero):
+    # the @example orders above, as a probability measure
+    half, log = F(1, 2), _LOG_FACTOR.scale(F(2))
+    factors = (log, lebesgue()) if log_under_zero else (lebesgue(), log)
+    mu = make2d([(half, delta(F(x)), t) for x, t in zip((0, 1), factors)])
+    assert mu.inv_t_norm() is INFINITE
+    assert backward_ext_2var(mu, delta(F(0)), half).failed == "i"
+    with pytest.raises(MeasureError, match="1/t norm diverges"):
+        extremal(mu)
 
 
 def test_each_measure_divides_by_t_once(monkeypatch):

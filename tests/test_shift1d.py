@@ -23,7 +23,6 @@ from shiftlab.shift1d import (
     flat_shift,
     hankel_matrix,
     hankel_psd,
-    hyponormal_witness,
     is_flat,
     khypo_witness,
     make_weights,
@@ -140,13 +139,14 @@ def test_negative_index_rejected():
 
 
 def test_hyponormal_families():
-    assert hyponormal_witness(alpha_family(), 30) is None
-    assert hyponormal_witness(bergman_like(1), 30) is None
-    assert hyponormal_witness(witness_shift(), 30) is None
+    # hyponormality on [0, window] is the order-1 scan over bases 0..window-1
+    assert khypo_witness(alpha_family(), 1, 29) is None
+    assert khypo_witness(bergman_like(1), 1, 29) is None
+    assert khypo_witness(witness_shift(), 1, 29) is None
     decreasing = make_weights((F(1), F(1, 2)), WeightTail("constant", F(1, 2)))
-    assert hyponormal_witness(decreasing, 5) is not None
+    assert khypo_witness(decreasing, 1, 4) is not None
     with pytest.raises(ShiftError):
-        hyponormal_witness(unilateral(), 0)
+        khypo_witness(unilateral(), 1, -1)
 
 
 def test_witness_hankel_matrix_and_det():
@@ -163,11 +163,11 @@ def test_witness_hankel_matrix_and_det():
 
 def test_witness_scans_name_the_first_failure():
     decreasing = make_weights((F(1), F(1, 2)), WeightTail("constant", F(1, 2)))
-    assert hyponormal_witness(decreasing, 5) == 0
+    assert khypo_witness(decreasing, 1, 4) == 0
     late = make_weights((F(1, 2), F(2, 3), F(1, 3)), WeightTail("constant", F(1)))
-    assert hyponormal_witness(late, 1) is None
-    assert hyponormal_witness(late, 5) == 1
-    assert hyponormal_witness(bergman_like(1), 30) is None
+    assert khypo_witness(late, 1, 0) is None
+    assert khypo_witness(late, 1, 4) == 1
+    assert khypo_witness(bergman_like(1), 1, 29) is None
     assert khypo_witness(witness_shift(), 2, 5) == 0
     assert khypo_witness(witness_shift(), 1, 5) is None
     assert khypo_witness(bergman_like(2), 3, 8) is None
@@ -176,8 +176,8 @@ def test_witness_scans_name_the_first_failure():
 @pytest.mark.parametrize(
     "scan, args",
     [
-        (hyponormal_witness, (0,)),
-        (hyponormal_witness, (-3,)),
+        (khypo_witness, (-1, 4)),
+        (khypo_witness, (1, -1)),
         (khypo_witness, (0, 4)),
         (khypo_witness, (2, -1)),
         (khypo_witness, (0, -5)),

@@ -22,7 +22,6 @@ from shiftlab.shift2d import (
     build_explicit,
     build_figure5,
     build_figure9,
-    build_sfc_grid,
     build_totallyflat,
     check_commuting,
     figure5_f,
@@ -47,8 +46,11 @@ def three_atoms():
     return make1d([(F(0), F(1, 3)), (F(1, 2), F(1, 3)), (F(1), F(1, 3))])
 
 
-def eta_one():
-    return combine1d([(F(1, 3), lebesgue().restriction(1)), (F(2, 3), delta(F(1)))])
+def sfc_point():
+    """The sfc grid at a_sq = 1/2, y0_sq = 2/5 over three atoms, with
+    eta = (1/2) dt + (1/2) delta_1, so eta1 = (1/3) 2t dt + (2/3) delta_1."""
+    eta = combine1d([(F(1, 2), lebesgue()), (F(1, 2), delta(F(1)))])
+    return sfc_grid(make_params(three_atoms(), eta, F(1, 2), F(2, 5)))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +149,7 @@ _FAMILIES = {
     "figure9": lambda: build_figure9(F(1, 3)),
     "totally_flat": lambda: build_totallyflat(alpha_family(), F(1, 8)),
     "figure5": lambda: build_figure5(3, F(1, 4))[0],
-    "sfc": lambda: build_sfc_grid(three_atoms(), eta_one(), F(1, 2), F(2, 5)),
+    "sfc": lambda: sfc_point(),
     "explicit": lambda: build_explicit([[F(1, 2), F(5, 6)]], [[F(1, 3), F(1, 3)]]),
 }
 
@@ -570,7 +572,7 @@ def test_window_report_json_shape():
 
 
 def test_sfc_grid_weights():
-    g = build_sfc_grid(three_atoms(), eta_one(), F(1, 2), F(2, 5))
+    g = sfc_point()
     assert g.alpha_sq(0, 0) == F(1, 2)
     assert g.alpha_sq(1, 0) == F(5, 6)
     assert g.alpha_sq(0, 1) == F(1, 2)
@@ -581,7 +583,7 @@ def test_sfc_grid_weights():
 
 
 def test_sfc_grid_is_symmetrically_flat():
-    g = build_sfc_grid(three_atoms(), eta_one(), F(1, 2), F(2, 5))
+    g = sfc_point()
     flags = flatness(g, 5, 5)
     assert flags.horizontal and flags.vertical and flags.flat and flags.symmetric
 
