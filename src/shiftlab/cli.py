@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .exactnum import ExactInputError, decimal_string, format_rational, parse_rational
+from .exactnum import ExactInputError, decimal_string, format_rational, parse_rational_field
 from .measures import MeasureError
 from .sfc import SFCError, classify, params_from_json, scan_csv_text, scan_region
 # hankel_psd is not called here: it stays importable as cli.hankel_psd
@@ -299,8 +299,8 @@ def _cmd_scan(args) -> int:
     digits = _digits()
     if args.lo is None or args.hi is None:
         raise CliInputError("scan needs --lo and --hi")
-    lo = _parse_cli_rational(args.lo, "--lo")
-    hi = _parse_cli_rational(args.hi, "--hi")
+    lo = parse_rational_field(args.lo, "--lo", CliInputError)
+    hi = parse_rational_field(args.hi, "--hi", CliInputError)
     if args.steps < 2:
         raise CliInputError(f"--steps must be at least 2, got {args.steps}")
     rows = scan_region(lo, hi, args.steps)
@@ -325,13 +325,6 @@ def _cmd_verify_paper(args) -> int:
     human.append(f"{sum(ok for _, ok in results)}/{len(results)} checks passed")
     _emit(args, doc, human)
     return 0 if verdict else 1
-
-
-def _parse_cli_rational(text: str, flag: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise CliInputError(f"{flag}: {exc}")
 
 
 # ---------------------------------------------------------------------------

@@ -595,11 +595,40 @@ def figure5_g(m: int) -> Fraction:
     return (1 + (m + 2) * (m + 3) * (1 - y_m) ** 2 / y_m) / up.gamma(m)[m]
 
 
+def _seed_bounds(
+    k2: int, n: int, alpha0_sq: Fraction, chain: list[int], upper_seed: Fraction
+) -> list[tuple[str, Index, Fraction]]:
+    """The named rows (name, index, bound) that bound the column seed of
+    level n from above, given the seed of the level above: the seed search
+    takes the largest power of two under them, and the report checks the
+    seed against each, so both read this one table.  Only levels whose
+    seed is not pinned have rows: level 0 for k2 = 1, levels 0..k2-2
+    otherwise.  ``chain`` needs its parameters down to level n.
+
+    For k2 = 1, the (0, 0) and (1, 0) six-points under the Bergman-like
+    level 3, solved for the seed.  For k2 >= 2, every level gets the
+    (0, n) pair bound of `_pair_seed_bound`; level k2-2, under the top
+    Bergman-like level, also gets the published display bound and f(1)."""
+    if k2 == 1:
+        top = bergman_like(chain[0])
+        x0, x1 = top.weight_sq(0), top.weight_sq(1)
+        return [
+            ("beta0eq2", (0, 0), upper_seed * x0 / (x0 + 6 * (alpha0_sq - x0) ** 2)),
+            ("beta0eq", (1, 0), upper_seed * x0 / (alpha0_sq * (1 + 12 * (1 - x1) ** 2 / x1))),
+        ]
+    pair = (chain[k2 - 1 - n], chain[k2 - 2 - n])
+    rows = [(f"pair{n}", (0, n), _pair_seed_bound(*pair, upper_seed))]
+    if n == k2 - 2:
+        rows[:0] = [("beta1", (0, n), _display_bound_top_pair(*pair)), ("beta2", (1, n), figure5_f(1, pair))]
+    return rows
+
+
 def _figure5_seeds(k2: int, alpha0_sq: Fraction, beta0_sq: Fraction | None) -> tuple[list[int], list[Fraction]]:
     """The levels' parameters ``bergman_chain(k2)`` and their column seeds,
-    bottom to top, indices 0..k2: the top two are pinned to 1/alpha0_sq and
-    16/alpha0_sq; lower ones take the largest power of two below every
-    applicable bound, unless an explicit bottom seed is given.
+    bottom to top, indices 0..k2: seed k2 is pinned to 16/alpha0_sq and,
+    for k2 >= 2, seed k2-1 to 1/alpha0_sq; each lower one is the largest
+    power of two under the `_seed_bounds` rows of its level, unless an
+    explicit bottom seed is given.
 
     The chain grows one parameter per seed, top down.  Those powers of two
     never grow downward, so once one has more digits than Python will print
@@ -607,38 +636,27 @@ def _figure5_seeds(k2: int, alpha0_sq: Fraction, beta0_sq: Fraction | None) -> t
     bottom seed the search stops there with the too-deep GridError.  With
     one, it stops at the first chain parameter past that limit, whose
     level's weights could not be printed either."""
-    top_down = [16 / alpha0_sq]  # the seeds k2, k2 - 1, ..., 0
+    top_down = [16 / alpha0_sq, 1 / alpha0_sq][:k2]  # the seeds k2, k2 - 1, ..., 0
     chain = bergman_chain(min(k2, 2))
-    if k2 == 1:
-        top = bergman_like(chain[0])
-        x0, x1 = top.weight_sq(0), top.weight_sq(1)
-        beta1_sq = 1 / alpha0_sq
-        bound_a = beta1_sq * x0 / (x0 + 6 * (alpha0_sq - x0) ** 2)
-        rhs1 = 1 + 12 * (1 - x1) ** 2 / x1
-        bound_b = beta1_sq * x0 / (alpha0_sq * rhs1)
-        top_down.append(beta0_sq if beta0_sq is not None else _largest_pow2_at_most(min(bound_a, bound_b)))
-    else:
-        top_down.append(1 / alpha0_sq)
-        # with the limit off (0), Python's default still bounds the depth
-        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-        # an integer of more bits than 10**limit has more than limit digits
-        printable_bits = (10**limit).bit_length()
-        for n in range(k2 - 2, -1, -1):
-            if n < k2 - 2:
-                chain.append(next_chain_param(chain[-2], chain[-1]))
-                if chain[-1].bit_length() > printable_bits:
-                    raise GridError(
-                        f"k2 = {k2} is too deep: the Bergman-like parameter of level {n} "
-                        f"has more than {limit} digits"
-                    )
-            ell_up, ell_low = chain[-2], chain[-1]
-            bound = _pair_seed_bound(ell_low, ell_up, top_down[-1])
-            if n == k2 - 2:
-                bound = min(bound, _display_bound_top_pair(ell_low, ell_up), figure5_f(1, (ell_low, ell_up)))
-            seed = beta0_sq if n == 0 and beta0_sq is not None else _largest_pow2_at_most(bound)
-            if beta0_sq is None and seed.denominator.bit_length() > printable_bits:
-                raise _too_deep(k2)
-            top_down.append(seed)
+    # with the limit off (0), Python's default still bounds the depth
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    # an integer of more bits than 10**limit has more than limit digits
+    printable_bits = (10**limit).bit_length()
+    for n in range(k2 - len(top_down), -1, -1):
+        if n < k2 - 2:
+            chain.append(next_chain_param(chain[-2], chain[-1]))
+            if chain[-1].bit_length() > printable_bits:
+                raise GridError(
+                    f"k2 = {k2} is too deep: the Bergman-like parameter of level {n} "
+                    f"has more than {limit} digits"
+                )
+        if n == 0 and beta0_sq is not None:
+            seed = beta0_sq
+        else:
+            seed = _largest_pow2_at_most(min(b for _, _, b in _seed_bounds(k2, n, alpha0_sq, chain, top_down[-1])))
+        if beta0_sq is None and seed.denominator.bit_length() > printable_bits:
+            raise _too_deep(k2)
+        top_down.append(seed)
     return chain, [Fraction(s) for s in reversed(top_down)]
 
 
@@ -654,11 +672,13 @@ def build_figure5(
 
     Levels k2-1 down to 0 carry Bergman-like parameters 3, 18, then the
     deterministic chain; levels >= k2 are the flat shift with parameter
-    alpha0_sq.  The report evaluates one named condition per boundary index
-    class; its witness is the representative index of the first violated
-    condition.  The published (0,0) threshold (beta1 for k2 = 2) is stricter
-    than the raw six-point there, so a seed can fail this report while the
-    plain window scan still passes; both views are reported honestly.
+    alpha0_sq.  The report checks each seed against the `_seed_bounds` rows
+    the default seeds are chosen under, then the two alpha0 conditions; its
+    witness is the representative index of the first violated one.  The
+    conditions are sufficient, so a report that passes never sits beside a
+    failing window scan.  The published display threshold (beta1) is
+    stricter than the raw six-point, so a seed can fail this report while
+    the plain window scan still passes; both views are reported honestly.
     """
     grid, chain, seeds = _figure5_grid(k2, alpha0_sq, beta0_sq)
     return grid, _figure5_report(k2, Fraction(alpha0_sq), seeds, chain)
@@ -695,89 +715,20 @@ def _figure5_grid(
 
 
 def _figure5_report(k2: int, alpha0_sq: Fraction, seeds: list[Fraction], chain: list[int]) -> WindowReport:
+    """Each `_seed_bounds` row as ``seed <= bound``, levels bottom up, then
+    the two alpha0 conditions; the witness is the first row that fails."""
     conditions: list[tuple[ConditionValue, Index]] = []
-    top_level = bergman_like(chain[0])
-    if k2 == 1:
-        x0, x1 = top_level.weight_sq(0), top_level.weight_sq(1)
-        beta1_sq = seeds[1]
-        lhs = 6 * seeds[0] * (alpha0_sq - x0) ** 2
-        rhs = (beta1_sq - seeds[0]) * x0
-        conditions.append(
-            (
-                ConditionValue("beta0eq2", lhs <= rhs, {"lhs": lhs, "rhs": rhs}),
-                (0, 0),
-            )
-        )
-        lhs_eq = beta1_sq * x0 / (alpha0_sq * seeds[0])
-        rhs_eq = 1 + 12 * (1 - x1) ** 2 / x1
-        conditions.append(
-            (
-                ConditionValue("beta0eq", lhs_eq >= rhs_eq, {"lhs": lhs_eq, "rhs": rhs_eq}),
-                (1, 0),
-            )
-        )
-    else:
-        bottom_pair = (chain[k2 - 1], chain[k2 - 2])
-        display = _display_bound_top_pair(*bottom_pair)
-        conditions.append(
-            (
-                ConditionValue(
-                    "beta1",
-                    seeds[0] <= display,
-                    {"beta0_sq": seeds[0], "bound": display},
-                ),
-                (0, 0),
-            )
-        )
-        f1 = figure5_f(1, bottom_pair)
-        conditions.append(
-            (
-                ConditionValue(
-                    "beta2",
-                    seeds[0] <= f1,
-                    {"beta0_sq": seeds[0], "f_at_1": f1},
-                ),
-                (1, 0),
-            )
-        )
-        for n in range(1, k2 - 1):
-            ell_low, ell_up = chain[k2 - 1 - n], chain[k2 - 2 - n]
-            bound = _pair_seed_bound(ell_low, ell_up, seeds[n + 1])
-            conditions.append(
-                (
-                    ConditionValue(
-                        f"pair{n}",
-                        seeds[n] <= bound,
-                        {"seed_sq": seeds[n], "bound": bound},
-                    ),
-                    (0, n),
-                )
-            )
-    top = top_level.weight_sq(0)
-    cond1_lhs = (alpha0_sq - top) ** 2
-    conditions.append(
-        (
-            ConditionValue(
-                "condition1",
-                cond1_lhs <= top**2,
-                {"lhs": cond1_lhs, "rhs": top**2},
-            ),
-            (0, k2 - 1),
-        )
-    )
+    for n in range(max(k2 - 1, 1)):
+        for name, index, bound in _seed_bounds(k2, n, alpha0_sq, chain, seeds[n + 1]):
+            values = {"seed_sq": seeds[n], "f_at_1" if name == "beta2" else "bound": bound}
+            conditions.append((ConditionValue(name, seeds[n] <= bound, values), index))
+    top = bergman_like(chain[0]).weight_sq(0)
+    lhs = (alpha0_sq - top) ** 2
+    conditions.append((ConditionValue("condition1", lhs <= top**2, {"lhs": lhs, "rhs": top**2}), (0, k2 - 1)))
     if k2 >= 2:
         g1 = figure5_g(1)
-        beta_top_sq = seeds[k2]
-        conditions.append(
-            (
-                ConditionValue(
-                    "condition2b",
-                    beta_top_sq >= g1,
-                    {"beta_top_sq": beta_top_sq, "g_at_1": g1},
-                ),
-                (1, k2 - 1),
-            )
-        )
+        values = {"beta_top_sq": seeds[k2], "g_at_1": g1}
+        conditions.append((ConditionValue("condition2b", seeds[k2] >= g1, values), (1, k2 - 1)))
     verdict = all(c.holds for c, _ in conditions)
     witness = next(((index, c.name) for c, index in conditions if not c.holds), None)
     return WindowReport(verdict, witness=witness, conditions=tuple(c for c, _ in conditions))

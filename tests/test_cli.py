@@ -376,6 +376,8 @@ def test_scan_validation(capsys, specs):
     assert code3 == 2
     code4, _, err4 = run(capsys, ["scan", "--lo", "1/x", "--hi", "1/2", "--steps", "3"])
     assert code4 == 2 and "--lo" in err4
+    assert run(capsys, ["scan", "--lo", "1/x", "--hi", "1/2"]) == (2, "", "error: --lo: malformed rational: '1/x'\n")
+    assert run(capsys, ["scan", "--lo", "1/3", "--hi", "0.5"]) == (2, "", "error: --hi: malformed rational: '0.5'\n")
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from shiftlab.shift2d import (
     SixPointData,
     _figure5_seeds,
     _largest_pow2_at_most,
+    _seed_bounds,
     bergman_chain,
     build_explicit,
     build_figure5,
@@ -439,7 +440,7 @@ def test_figure5_default_seeds():
     assert g2.beta_sq(0, 0) == F(1, 512)
     assert report2.verdict and report2.witness is None
     g1, report1 = build_figure5(1, F(1, 4))
-    assert g1.beta_sq(0, 0) == F(1, 4)
+    assert g1.beta_sq(0, 0) == F(1)
     assert report1.verdict
     g3, report3 = build_figure5(3, F(1, 4))
     assert g3.beta_sq(0, 0) == F(1, 2**22)
@@ -448,20 +449,14 @@ def test_figure5_default_seeds():
 
 def test_figure5_report_names():
     _, report2 = build_figure5(2, F(1, 4))
-    assert [c.name for c in report2.conditions] == ["beta1", "beta2", "condition1", "condition2b"]
+    assert [c.name for c in report2.conditions] == ["beta1", "beta2", "pair0", "condition1", "condition2b"]
     assert report2.condition("beta1").values["bound"] == F(7, 3240)
     assert report2.condition("beta2").values["f_at_1"] == F(742, 40765)
     assert report2.condition("condition2b").values["g_at_1"] == F(27, 5)
     _, report1 = build_figure5(1, F(1, 4))
     assert [c.name for c in report1.conditions] == ["beta0eq2", "beta0eq", "condition1"]
     _, report3 = build_figure5(3, F(1, 4))
-    assert [c.name for c in report3.conditions] == [
-        "beta1",
-        "beta2",
-        "pair1",
-        "condition1",
-        "condition2b",
-    ]
+    assert [c.name for c in report3.conditions] == ["pair0", "beta1", "beta2", "pair1", "condition1", "condition2b"]
     with pytest.raises(KeyError):
         report1.condition("beta1")
 
@@ -563,8 +558,40 @@ def test_window_report_json_shape():
     assert doc["verdict"] is False
     assert doc["witness"] == {"k": [0, 0], "condition": "beta1"}
     names = [c["name"] for c in doc["conditions"]]
-    assert names == ["beta1", "beta2", "condition1", "condition2b"]
+    assert names == ["beta1", "beta2", "pair0", "condition1", "condition2b"]
     assert doc["conditions"][0]["values"]["bound"] == "7/3240"
+
+
+_figure5_alpha0 = st.sampled_from([F(1, 97), F(1, 4), F(1, 2), F(3, 4), F(96, 97)])
+
+
+@given(st.integers(1, 6), _figure5_alpha0, st.integers(-3, 13))
+@example(3, F(1, 4), 1)  # twice the default seed: its (0, 0) six-point fails
+@settings(max_examples=60, deadline=None)
+def test_figure5_report_pass_implies_window_pass(k2, alpha0_sq, e):
+    # the report's conditions are sufficient, so a PASS beside a scan failure is a bug
+    default = _figure5_seeds(k2, alpha0_sq, None)[1][0]
+    grid, report = build_figure5(k2, alpha0_sq, default * F(2) ** e)
+    if report.verdict:
+        assert joint_hyponormal_window(grid, 12, k2 + 2).verdict
+
+
+@given(st.integers(1, 12), st.integers(1, 96))
+@settings(max_examples=60, deadline=None)
+def test_figure5_seed_search_and_report_read_one_table(k2, j):
+    alpha0_sq = F(j, 97)
+    chain, seeds = _figure5_seeds(k2, alpha0_sq, None)
+    _, report = build_figure5(k2, alpha0_sq)
+    seed_rows = [c for c in report.conditions if c.name not in ("condition1", "condition2b")]
+    levels = range(max(k2 - 1, 1))  # for k2 >= 2, seed k2-1 is pinned to 1/alpha0_sq
+    rows = [row for n in levels for row in _seed_bounds(k2, n, alpha0_sq, chain, seeds[n + 1])]
+    assert [c.name for c in seed_rows] == [name for name, _, _ in rows]
+    for n in levels:
+        bounds = [bound for _, _, bound in _seed_bounds(k2, n, alpha0_sq, chain, seeds[n + 1])]
+        assert all(seeds[n] <= bound for bound in bounds)
+        # the largest power of two under the rows, so doubling breaks one, unless capped at 1
+        assert seeds[n] == 1 or any(2 * seeds[n] > bound for bound in bounds)
+    assert all(c.holds for c in seed_rows)
 
 
 # ---------------------------------------------------------------------------
