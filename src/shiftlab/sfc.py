@@ -235,7 +235,6 @@ def sfc_grid(p: SFCParams) -> ShiftGrid2D:
         "y0_sq": format_rational(p.y0_sq),
     }
     return ShiftGrid2D(
-        "sfc",
         lambda k2: row0 if k2 == 0 else WeightSeq((p.a_sq / p.eta1.moment(k2 - 1),), ones),
         lambda k2: p.y0_sq if k2 == 0 else column.weight_sq(k2 - 1),
         spec,

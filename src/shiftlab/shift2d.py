@@ -23,7 +23,6 @@ level's own.
 from __future__ import annotations
 
 import functools
-import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,14 +50,7 @@ class ShiftGrid2D:
     its seed all along without reading a weight.  Reads are not checked for
     positivity: every builder validates the levels and seeds it stacks."""
 
-    def __init__(
-        self,
-        model: str,
-        level: Callable[[int], WeightSeq],
-        seed: Callable[[int], Fraction],
-        spec: dict,
-    ):
-        self.model = model
+    def __init__(self, level: Callable[[int], WeightSeq], seed: Callable[[int], Fraction], spec: dict):
         self._level = functools.cache(level)
         self._seed = seed
         self._spec = spec
@@ -84,15 +76,15 @@ class ShiftGrid2D:
             row.append(row[i] if a_up == a_here else row[i] * a_up / a_here)
         return row[k1]
 
+    @property
+    def model(self) -> str:
+        return self._spec["model"]
+
     def to_json_obj(self) -> dict:
         return self._spec
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ShiftGrid2D)
-            and self.model == other.model
-            and self._spec == other._spec
-        )
+        return isinstance(other, ShiftGrid2D) and self._spec == other._spec
 
     def __repr__(self) -> str:
         return f"ShiftGrid2D(model={self.model!r})"
@@ -402,7 +394,6 @@ class _ExplicitGrid(ShiftGrid2D):
     """Materialized windows, betas given rather than derived from seeds."""
 
     def __init__(self, alpha_rows: list[list[Fraction]], beta_rows: list[list[Fraction]], spec: dict):
-        self.model = "explicit"
         self._spec = spec
         self._windows = {"alpha": alpha_rows, "beta": beta_rows}
 
@@ -453,7 +444,6 @@ def build_figure9(y_sq: Fraction) -> ShiftGrid2D:
     row0, top = alpha_family(), flat_shift(Fraction(1, 2))
     spec = {"model": "figure9", "y_sq": format_rational(y_sq)}
     return ShiftGrid2D(
-        "figure9",
         lambda k2: row0 if k2 == 0 else top,
         lambda k2: y_sq if k2 == 0 else Fraction(k2 + 1, k2 + 2),
         spec,
@@ -497,7 +487,6 @@ def build_totallyflat(x_row: WeightSeq, y_sq: Fraction) -> ShiftGrid2D:
     top = unilateral()
     spec = {"model": "totally_flat", "x_row": x_row.to_json_obj(), "y_sq": format_rational(y_sq)}
     return ShiftGrid2D(
-        "totally_flat",
         lambda k2: x_row if k2 == 0 else top,
         lambda k2: y_sq if k2 == 0 else Fraction(1),
         spec,
@@ -511,20 +500,19 @@ def build_totallyflat(x_row: WeightSeq, y_sq: Fraction) -> ShiftGrid2D:
 
 def next_chain_param(p: int, q: int) -> int:
     """Smallest integer r > q with p*r >= 9 q**2 and
-    (p - 1/2)(r - 1/2) >= 9 (q - 1/2)**2.
+    (2p - 1)(2r - 1) >= 9 (2q - 1)**2, both ceilings in integers.
 
     The quadratic (p-u)(r-u) - 9(q-u)**2 is concave in u, so these two
-    endpoint inequalities certify (p-u)(r-u) >= 9(q-u)**2 for every
-    u in (0, 1/2], which is the three-row sufficient condition at all
-    grid columns at once.
+    endpoint inequalities (u = 0 and u = 1/2, the second doubled twice)
+    certify (p-u)(r-u) >= 9(q-u)**2 for every u in (0, 1/2], which is the
+    three-row sufficient condition at all grid columns at once.
     """
     if not 0 < p < q:
         raise GridError(f"need 0 < p < q, got ({p}, {q})")
-    half = Fraction(1, 2)
-    c1 = math.ceil(Fraction(9 * q * q, p))
-    c2 = math.ceil(9 * (q - half) ** 2 / (p - half) + half)
+    c1 = -(-9 * q * q // p)
+    c2 = -(-(9 * (2 * q - 1) ** 2 + 2 * p - 1) // (4 * p - 2))
     r = max(c1, c2, q + 1)
-    assert p * r >= 9 * q * q and (p - half) * (r - half) >= 9 * (q - half) ** 2
+    assert p * r >= 9 * q * q and (2 * p - 1) * (2 * r - 1) >= 9 * (2 * q - 1) ** 2
     return r
 
 
@@ -541,8 +529,8 @@ def _pair_seed_bound(ell_low: int, ell_up: int, upper_seed: Fraction) -> Fractio
     """Bound on the lower beta seed for two stacked Bergman-like levels:
     the (0, n) six-point there has rational sqrt(P*Q) and reduces to
     seed_low <= seed_up * (2 ell_low - 1) / (2 ell_low - 1 + 12 (ell_low - ell_up)**2)."""
-    base = Fraction(2 * ell_low - 1)
-    return upper_seed * base / (base + 12 * (ell_low - ell_up) ** 2)
+    base = 2 * ell_low - 1
+    return upper_seed * Fraction(base, base + 12 * (ell_low - ell_up) ** 2)
 
 
 def _largest_pow2_at_most(bound: Fraction) -> Fraction:
@@ -563,12 +551,13 @@ def _display_bound_top_pair(ell_low: int, ell_up: int) -> Fraction:
     """The published (0,0)-style threshold for a Bergman pair: with
     x the lower level, (x1^2 - x0^2)^2 * x0^2 / (x0^2 - y0^2)^2.
 
-    For the (18, 3) pair this is 7/3240.  It differs from the faithful
-    six-point bound (which also involves the upper seed); both are checked.
+    Bergman-like squares are ell - 1/(k+2), so x1^2 - x0^2 = 1/6 and
+    x0^2 - y0^2 = ell_low - ell_up, and the threshold is
+    (2 ell_low - 1) / (72 (ell_low - ell_up)**2); for the (18, 3) pair,
+    7/3240.  It differs from the faithful six-point bound (which also
+    involves the upper seed); both are checked.
     """
-    low = bergman_like(ell_low)
-    x0, y0 = low.weight_sq(0), bergman_like(ell_up).weight_sq(0)
-    return (low.weight_sq(1) - x0) ** 2 * x0 / (x0 - y0) ** 2
+    return Fraction(2 * ell_low - 1, 72 * (ell_low - ell_up) ** 2)
 
 
 def figure5_f(m: int, chain: tuple[int, int] = (18, 3)) -> Fraction:
@@ -630,22 +619,23 @@ def _figure5_seeds(k2: int, alpha0_sq: Fraction, beta0_sq: Fraction | None) -> t
     power of two under the `_seed_bounds` rows of its level, unless an
     explicit bottom seed is given.
 
-    The chain grows one parameter per seed, top down.  Those powers of two
-    never grow downward, so once one has more digits than Python will print
-    (told from bit lengths), the bottom seed will too: without an explicit
-    bottom seed the search stops there with the too-deep GridError.  With
-    one, it stops at the first chain parameter past that limit, whose
-    level's weights could not be printed either."""
+    The chain grows one parameter per seed, top down.  The depth test is
+    exact: an integer has more digits than Python will print just when it
+    is at least 10**limit.  It is asked of each chain parameter, whose
+    level's weights could not be printed past it, and of the bottom seed's
+    numerator and denominator, searched or given (a given one only while
+    the limit is on).  The searched powers of two never grow downward, so
+    without an explicit bottom seed each is tested, and the search stops
+    with the too-deep GridError at the first one past the limit."""
     top_down = [16 / alpha0_sq, 1 / alpha0_sq][:k2]  # the seeds k2, k2 - 1, ..., 0
-    chain = bergman_chain(min(k2, 2))
+    chain = [3, 18][:k2]
     # with the limit off (0), Python's default still bounds the depth
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    # an integer of more bits than 10**limit has more than limit digits
-    printable_bits = (10**limit).bit_length()
+    too_many_digits = 10**limit
     for n in range(k2 - len(top_down), -1, -1):
         if n < k2 - 2:
             chain.append(next_chain_param(chain[-2], chain[-1]))
-            if chain[-1].bit_length() > printable_bits:
+            if chain[-1] >= too_many_digits:
                 raise GridError(
                     f"k2 = {k2} is too deep: the Bergman-like parameter of level {n} "
                     f"has more than {limit} digits"
@@ -654,14 +644,12 @@ def _figure5_seeds(k2: int, alpha0_sq: Fraction, beta0_sq: Fraction | None) -> t
             seed = beta0_sq
         else:
             seed = _largest_pow2_at_most(min(b for _, _, b in _seed_bounds(k2, n, alpha0_sq, chain, top_down[-1])))
-        if beta0_sq is None and seed.denominator.bit_length() > printable_bits:
-            raise _too_deep(k2)
+        # with the limit off, a given seed always prints
+        checked = beta0_sq is None or (n == 0 and sys.get_int_max_str_digits() > 0)
+        if checked and max(seed.numerator, seed.denominator) >= too_many_digits:
+            raise GridError(f"k2 = {k2} is too deep: the bottom seed beta0_sq has too many digits to print")
         top_down.append(seed)
     return chain, [Fraction(s) for s in reversed(top_down)]
-
-
-def _too_deep(k2: int) -> GridError:
-    return GridError(f"k2 = {k2} is too deep: the bottom seed beta0_sq has too many digits to print")
 
 
 def build_figure5(
@@ -700,17 +688,13 @@ def _figure5_grid(
     chain, seeds = _figure5_seeds(k2, alpha0_sq, beta0_sq)
     # bottom to top; index k2 is the flat top, repeated above
     levels = [bergman_like(ell) for ell in reversed(chain)] + [flat_shift(alpha0_sq)]
-    try:
-        beta0_text = format_rational(seeds[0])
-    except ValueError as exc:  # Python's int-to-string digit limit
-        raise _too_deep(k2) from exc
     spec: dict = {
         "model": "figure5",
         "k2": k2,
         "alpha0_sq": format_rational(alpha0_sq),
-        "beta0_sq": beta0_text,
+        "beta0_sq": format_rational(seeds[0]),
     }
-    grid = ShiftGrid2D("figure5", lambda n: levels[min(n, k2)], lambda n: seeds[min(n, k2)], spec)
+    grid = ShiftGrid2D(lambda n: levels[min(n, k2)], lambda n: seeds[min(n, k2)], spec)
     return grid, chain, seeds
 
 

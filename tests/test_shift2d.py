@@ -1,7 +1,9 @@
 """Two-variable weighted-shift grids and the window scans over them."""
 
+import math
 import random
 import sys
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -9,13 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shiftlab.exactnum import psd2_radical_cross
+from shiftlab.exactnum import format_rational, psd2_radical_cross
 from shiftlab.measures import combine1d, delta, lebesgue, make1d
 from shiftlab.sfc import make_params, sfc_grid
-from shiftlab.shift1d import TAIL_KINDS, WeightSeq, WeightTail, alpha_family, make_weights
+from shiftlab.shift1d import TAIL_KINDS, WeightSeq, WeightTail, alpha_family, bergman_like, make_weights
 from shiftlab.shift2d import (
     GridError,
     SixPointData,
+    _display_bound_top_pair,
     _figure5_seeds,
     _largest_pow2_at_most,
     _seed_bounds,
@@ -534,11 +537,12 @@ def test_figure5_validation():
 
 
 def test_figure5_too_deep_to_print_is_a_grid_error():
-    grid, _ = build_figure5(30, F(1, 4))
-    assert grid.to_json_obj()["beta0_sq"].startswith("1/")
-    for k2 in (31, 40):
-        with pytest.raises(GridError, match=f"k2 = {k2} is too deep"):
-            build_figure5(k2, F(1, 4))
+    for alpha0_sq in (F(1, 4), F(1, 2), F(3, 4), F(1, 97), F(96, 97)):
+        grid, _ = build_figure5(30, alpha0_sq)
+        assert grid.to_json_obj()["beta0_sq"].startswith("1/")
+        for k2 in (31, 40):
+            with pytest.raises(GridError, match=f"k2 = {k2} is too deep: the bottom seed beta0_sq has too many digits"):
+                build_figure5(k2, alpha0_sq)
 
 
 def test_figure5_depth_is_bounded_with_the_digit_limit_off():
@@ -548,8 +552,73 @@ def test_figure5_depth_is_bounded_with_the_digit_limit_off():
         for extra in ({}, {"beta0_sq": "1/1024"}):
             with pytest.raises(GridError, match="k2 = 400 is too deep"):
                 grid_from_json({"model": "figure5", "k2": 400, "alpha0_sq": "1/4", **extra})
+        # a given bottom seed past the default limit prints, so it is no error
+        grid, _ = build_figure5(2, F(1, 4), F(1, 10**5000))
+        assert grid.to_json_obj()["beta0_sq"] == f"1/{10**5000}"
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _digit_limit():
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def _next_chain_param_by_fractions(p, q):
+    """The chain step in Fraction ceilings, kept as reference for the
+    integer floor divisions."""
+    half = F(1, 2)
+    return max(math.ceil(F(9 * q * q, p)), math.ceil(9 * (q - half) ** 2 / (p - half) + half), q + 1)
+
+
+def _chain_through_the_digit_limit():
+    """The chain through its first parameter of more digits than print."""
+    chain = [3, 18]
+    while chain[-1] < 10 ** _digit_limit():
+        chain.append(next_chain_param(chain[-2], chain[-1]))
+    return chain
+
+
+def test_next_chain_param_matches_the_fraction_formula():
+    chain = _chain_through_the_digit_limit()
+    assert len(chain) == 96
+    for i in range(2, len(chain)):
+        assert chain[i] == _next_chain_param_by_fractions(chain[i - 2], chain[i - 1])
+    assert bergman_chain(96) == chain
+
+
+def test_display_bound_is_the_bergman_weight_reading():
+    chain = _chain_through_the_digit_limit()[:24]
+    for ell_up, ell_low in zip(chain, chain[1:]):
+        low = bergman_like(ell_low)
+        x0, x1, y0 = low.weight_sq(0), low.weight_sq(1), bergman_like(ell_up).weight_sq(0)
+        assert _display_bound_top_pair(ell_low, ell_up) == (x1 - x0) ** 2 * x0 / (x0 - y0) ** 2
+    assert _display_bound_top_pair(18, 3) == F(7, 3240)
+
+
+def test_figure5_explicit_seed_stops_at_the_chain_parameter_past_the_limit():
+    grid, _ = build_figure5(95, F(1, 4), F(1, 1024))
+    assert grid.to_json_obj()["beta0_sq"] == "1/1024"
+    message = f"k2 = 96 is too deep: the Bergman-like parameter of level 0 has more than {_digit_limit()} digits"
+    with pytest.raises(GridError, match=message):
+        build_figure5(96, F(1, 4), F(1, 1024))
+
+
+@pytest.mark.parametrize("beta0_sq", [None, F(1, 1024)])
+def test_figure5_far_too_deep_is_refused_fast(beta0_sq):
+    start = time.perf_counter()
+    with pytest.raises(GridError, match=f"k2 = {10**6} is too deep"):
+        build_figure5(10**6, F(1, 4), beta0_sq)
+    assert time.perf_counter() - start < 1
+
+
+def test_figure5_explicit_seed_past_the_digit_limit_is_too_deep():
+    limit = 10 ** _digit_limit()
+    # one digit short of the limit still prints, in the numerator or the denominator
+    for fine in (F(1, limit - 1), F(limit - 1, 3)):
+        assert build_figure5(2, F(1, 4), fine)[0].to_json_obj()["beta0_sq"] == format_rational(fine)
+    for deep in (F(1, 10**5000), F(10**5000, 3), F(1, limit), F(limit, 3)):
+        with pytest.raises(GridError, match="k2 = 2 is too deep: the bottom seed beta0_sq has too many digits to print"):
+            build_figure5(2, F(1, 4), deep)
 
 
 def test_window_report_json_shape():
