@@ -10,19 +10,25 @@ which follow from the commuting identity
 so commutativity holds by construction and `check_commuting` re-verifies it
 on demand.  A level that repeats the one above keeps its seed all along, the
 grid form of flatness.  Explicit windows are the one grid whose betas are
-given rather than derived.  Positivity tests route every 2 x 2 cross term
-through the exact radical-elimination comparison, asked on integers with the
-weights' denominators cleared; verdicts never touch floating point.
+given rather than derived.  Verdicts never touch floating point.
 
 Every window scan walks the window in the order of `window_indices`, each
 level once, and the first failing index wins as witness.  The six-point
-scans read each weight once, carrying a level's upper row down as the next
-level's own.
+scans read each weight once, as an integer (numerator, denominator) pair,
+carrying a level's upper row down as the next level's own.  On a grid
+whose betas `ShiftGrid2D` derives, the identity makes
+sqrt(p) - sqrt(q) = (a_up - a) * sqrt(b / a), so the scans decide the
+six-point matrix by a * a1 * a2 >= b * (a_up - a)**2 on cleared integers,
+with no radical.  Explicit windows and duck-typed grids need not commute,
+and the pointwise `six_point_data` is the scans' oracle and feeds witness
+lines, so these run the exact radical-elimination test `psd2_radical_cross`,
+on integers with the weights' denominators cleared.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,6 +39,11 @@ from .measures import backward_ext_2var, density, make1d, make2d
 from .shift1d import WeightSeq, alpha_family, bergman_like, flat_shift, unilateral, weights_from_json
 
 Index = tuple[int, int]
+_Pair = tuple[int, int]
+
+
+def _pair(value: Fraction) -> _Pair:
+    return value.numerator, value.denominator
 
 
 class GridError(ValueError):
@@ -44,8 +55,10 @@ class ShiftGrid2D:
     1-variable shift (anything with weight_sq) whose weights are the alphas
     of level k2, and seed(k2) = beta_sq(0, k2).
 
-    Each level's betas follow the commuting identity left to right, kept in
-    a list so that no index recurses; equal alphas carry the beta across
+    Each level's betas follow the commuting identity left to right, kept as
+    reduced (numerator, denominator) pairs in a list so that no index
+    recurses, filled on integers from the two levels' alphas, which are kept
+    as pairs too and read once each; equal alphas carry the beta across
     unchanged, and a level that is the same object as the level above keeps
     its seed all along without reading a weight.  Reads are not checked for
     positivity: every builder validates the levels and seeds it stacks."""
@@ -54,7 +67,8 @@ class ShiftGrid2D:
         self._level = functools.cache(level)
         self._seed = seed
         self._spec = spec
-        self._rows: dict[int, list[Fraction]] = {}
+        self._alphas: dict[int, list[_Pair]] = {}
+        self._betas: dict[int, list[_Pair]] = {}
 
     def alpha_sq(self, k1: int, k2: int) -> Fraction:
         if k1 < 0 or k2 < 0:
@@ -64,16 +78,45 @@ class ShiftGrid2D:
     def beta_sq(self, k1: int, k2: int) -> Fraction:
         if k1 < 0 or k2 < 0:
             raise GridError(f"negative index ({k1}, {k2})")
-        here, up = self._level(k2), self._level(k2 + 1)
-        if up is here:
-            return self._seed(k2)
-        row = self._rows.get(k2)
+        return Fraction(*self._beta_pair(k1, k2))
+
+    def _alpha_pair(self, k1: int, k2: int) -> _Pair:
+        return self._alpha_row(k2, k1 + 1)[k1]
+
+    def _alpha_row(self, k2: int, length: int) -> list[_Pair]:
+        """Level k2's alphas as reduced pairs, read in order, at least
+        ``length`` of them."""
+        row = self._alphas.get(k2)
         if row is None:
-            row = self._rows[k2] = [self._seed(k2)]
-        while len(row) <= k1:
-            i = len(row) - 1
-            a_up, a_here = up.weight_sq(i), here.weight_sq(i)
-            row.append(row[i] if a_up == a_here else row[i] * a_up / a_here)
+            row = self._alphas[k2] = []
+        if len(row) < length:
+            level = self._level(k2)
+            for i in range(len(row), length):
+                row.append(_pair(level.weight_sq(i)))
+        return row
+
+    def _beta_pair(self, k1: int, k2: int) -> _Pair:
+        """beta_sq(k1, k2) as a reduced pair.  Each step multiplies by
+        a_up / a_here with the factors cross-cancelled as `Fraction` does, so
+        every pair is the reduced Fraction the identity gives."""
+        if self._level(k2 + 1) is self._level(k2):
+            return _pair(self._seed(k2))
+        row = self._betas.get(k2)
+        if row is None:
+            row = self._betas[k2] = [_pair(self._seed(k2))]
+        if len(row) > k1:
+            return row[k1]
+        ups, heres = self._alpha_row(k2 + 1, k1), self._alpha_row(k2, k1)
+        for i in range(len(row) - 1, k1):
+            up, here = ups[i], heres[i]
+            if up == here:
+                row.append(row[i])
+                continue
+            (n, d), (un, ud), (hn, hd) = row[i], up, here
+            g1, g2 = math.gcd(n, ud), math.gcd(un, d)
+            n, d = (n // g1) * (un // g2), (d // g2) * (ud // g1)
+            g3, g4 = math.gcd(n, hn), math.gcd(hd, d)
+            row.append(((n // g3) * (hd // g4), (d // g4) * (hn // g3)))
         return row[k1]
 
     @property
@@ -144,8 +187,8 @@ class SixPointData:
     """The six-point test at one index k: the verdict ``ok`` and the four
     matrix entries as the unreduced (numerator, denominator) pairs ``terms``,
     in the order a1, a2, p, q.  These are the report's pairs, each entry
-    over the product of its own weights' denominators; the radical test
-    clears the four over shared factors and scales them its own way.
+    over the product of its own weights' denominators; the verdict clears
+    the six weights over shared factors its own way.
 
     a1 = alpha_sq(k + e1) - alpha_sq(k), a2 = beta_sq(k + e2) - beta_sq(k),
     p = alpha_sq(k + e2) * beta_sq(k + e1) and q = alpha_sq(k) * beta_sq(k)
@@ -183,46 +226,63 @@ class SixPointData:
         return hash(self._entries())
 
 
-_Pair = tuple[int, int]
-
-
-def _pair(value: Fraction) -> _Pair:
-    return value.numerator, value.denominator
-
-
-def _six_point_kernel(
+def _six_point_terms(
     a: _Pair, a_right: _Pair, a_up: _Pair, b: _Pair, b_right: _Pair, b_up: _Pair
-) -> tuple[tuple[_Pair, _Pair, _Pair, _Pair], bool]:
-    """The report's terms and the verdict at one index, from its six
-    squared weights as (numerator, denominator) pairs.
-
-    With a1 = n1/d1, a2 = n2/(bud*bd), p = pn/u and q = qn/(ad*bd), where
-    d1 = ard*ad and u = aud*brd, the radical test is unchanged by scaling
-    a1 by d1, a2 by bud*bd*u and p, q by d1*bud*bd*u; each shared
-    denominator then appears once, and the test runs on integers only."""
+) -> tuple[_Pair, _Pair, _Pair, _Pair]:
+    """The report's terms a1, a2, p, q at one index, from its six squared
+    weights as (numerator, denominator) pairs, each over the product of its
+    own weights' denominators."""
     an, ad = a
     arn, ard = a_right
     aun, aud = a_up
     bn, bd = b
     brn, brd = b_right
     bun, bud = b_up
-    d1 = ard * ad
-    d2 = bud * bd
-    u = aud * brd
+    return (arn * ad - an * ard, ard * ad), (bun * bd - bn * bud, bud * bd), (aun * brn, aud * brd), (an * bn, ad * bd)
+
+
+def _radical_verdict(a: _Pair, a_right: _Pair, a_up: _Pair, b: _Pair, b_right: _Pair, b_up: _Pair) -> bool:
+    """The six-point verdict of any six weights, by the radical test.
+
+    With the terms a1 = n1/d1, a2 = n2/d2, p = pn/u and q = qn/(ad*bd),
+    where d1 = ard*ad, d2 = bud*bd and u = aud*brd, the radical test is
+    unchanged by scaling a1 by d1, a2 by d2*u and p, q by d1*d2*u; each
+    shared denominator then appears once, and the test runs on integers
+    only."""
+    (n1, d1), (n2, d2), (pn, u), (qn, _) = _six_point_terms(a, a_right, a_up, b, b_right, b_up)
+    return psd2_radical_cross(n1, n2 * u, pn * d1 * d2, qn * a_right[1] * b_up[1] * u)
+
+
+def _commuting_verdict(a: _Pair, a_right: _Pair, a_up: _Pair, b: _Pair, b_right: _Pair, b_up: _Pair) -> bool:
+    """The six-point verdict where b_right * a == a_up * b, with no radical.
+
+    There sqrt(p) - sqrt(q) = (a_up - a) * sqrt(b / a), so the matrix is PSD
+    iff a1 >= 0, a2 >= 0 and a * a1 * a2 >= b * (a_up - a)**2.  With
+    a1 = n1/(ard*ad), a2 = n2/(bud*bd) and a_up - a = m/(aud*ad), the last
+    reads n1*n2*an*aud**2 >= bn*bud*ard*m**2 once every denominator is
+    multiplied out.  b_right is not read, and no residual is squared, as
+    the radical test must."""
+    an, ad = a
+    arn, ard = a_right
+    aun, aud = a_up
+    bn, bd = b
+    bun, bud = b_up
     n1 = arn * ad - an * ard
     n2 = bun * bd - bn * bud
-    pn = aun * brn
-    qn = an * bn
-    ok = psd2_radical_cross(n1, n2 * u, pn * d1 * d2, qn * ard * bud * u)
-    return ((n1, d1), (n2, d2), (pn, u), (qn, ad * bd)), ok
+    if n1 < 0 or n2 < 0:
+        return False
+    m = aun * ad - an * aud
+    return n1 * an * aud * aud * n2 >= bn * bud * (ard * m * m)
 
 
 def six_point_data(g: ShiftGrid2D, k: Index) -> SixPointData:
-    """Six-point test at k on cleared denominators."""
+    """Six-point test at k on cleared denominators, by the radical test on
+    every grid: the pointwise oracle of the window scans."""
     k1, k2 = k
     a, a_right, a_up = g.alpha_sq(k1, k2), g.alpha_sq(k1 + 1, k2), g.alpha_sq(k1, k2 + 1)
     b, b_right, b_up = g.beta_sq(k1, k2), g.beta_sq(k1 + 1, k2), g.beta_sq(k1, k2 + 1)
-    return SixPointData(*_six_point_kernel(*map(_pair, (a, a_right, a_up, b, b_right, b_up))))
+    weights = tuple(map(_pair, (a, a_right, a_up, b, b_right, b_up)))
+    return SixPointData(_six_point_terms(*weights), _radical_verdict(*weights))
 
 
 def six_point(g: ShiftGrid2D, k: Index) -> bool:
@@ -232,19 +292,38 @@ def six_point(g: ShiftGrid2D, k: Index) -> bool:
     return six_point_data(g, k).ok
 
 
-def _six_point_walk(g: ShiftGrid2D, m: int, n: int) -> Iterator[tuple[Index, tuple, bool]]:
-    """(k, terms, ok) at each index of [0,m] x [0,n], lazily, in scan order.
+_Weights = tuple[_Pair, _Pair, _Pair, _Pair, _Pair, _Pair]
 
-    The walk keeps level k2's alpha and beta rows and level k2+1's as
-    (numerator, denominator) pairs, and carries the upper rows down as the
-    next level's.  Each weight is read once, at its first use, and at each
-    index in the order a, a_right, a_up, b, b_right, b_up, so a grid that
-    cannot answer a read raises what the pointwise test would raise first.
-    A bad window raises here, before any read."""
+
+def _six_point_walk(g: ShiftGrid2D, m: int, n: int) -> tuple[Callable[..., bool], Iterator[tuple[Index, _Weights]]]:
+    """The verdict kernel for g, and (k, weights) at each index of
+    [0,m] x [0,n], lazily, in scan order, with weights the six squared
+    weights a, a_right, a_up, b, b_right, b_up as (numerator, denominator)
+    pairs.
+
+    A grid whose betas `ShiftGrid2D` derives from its seeds commutes by
+    construction: it hands out its own integer rows, and gets the commuting
+    verdict.  Any other grid (explicit windows, whose betas are given, and
+    duck-typed grids) is read through alpha_sq and beta_sq, and gets the
+    radical test.  The walk keeps level k2's alpha and beta rows and level
+    k2+1's as pairs, and carries the upper rows down as the next level's.
+    Each weight is read once, at its first use, and at each index in the
+    order of ``weights``, so a grid that cannot answer a read raises what
+    the pointwise test would raise first.  A bad window raises here, before
+    any read."""
     indices = window_indices(m, n)
-    alpha, beta = g.alpha_sq, g.beta_sq
+    if type(g) is ShiftGrid2D:
+        verdict, alpha, beta = _commuting_verdict, g._alpha_pair, g._beta_pair
+    else:
+        verdict = _radical_verdict
 
-    def walk() -> Iterator[tuple[Index, tuple, bool]]:
+        def alpha(k1: int, k2: int) -> _Pair:
+            return _pair(g.alpha_sq(k1, k2))
+
+        def beta(k1: int, k2: int) -> _Pair:
+            return _pair(g.beta_sq(k1, k2))
+
+    def walk() -> Iterator[tuple[Index, _Weights]]:
         a_up: list[_Pair] = []
         b_up: list[_Pair] = []
         for k in indices:
@@ -252,26 +331,25 @@ def _six_point_walk(g: ShiftGrid2D, m: int, n: int) -> Iterator[tuple[Index, tup
             if k1 == 0:
                 a_row, b_row, a_up, b_up = a_up, b_up, [], []
             if len(a_row) == k1:  # (0, 0) only
-                a_row.append(_pair(alpha(k1, k2)))
+                a_row.append(alpha(k1, k2))
             if len(a_row) == k1 + 1:  # all of level 0, then k1 = m
-                a_row.append(_pair(alpha(k1 + 1, k2)))
-            a_up.append(_pair(alpha(k1, k2 + 1)))
+                a_row.append(alpha(k1 + 1, k2))
+            a_up.append(alpha(k1, k2 + 1))
             if len(b_row) == k1:
-                b_row.append(_pair(beta(k1, k2)))
+                b_row.append(beta(k1, k2))
             if len(b_row) == k1 + 1:
-                b_row.append(_pair(beta(k1 + 1, k2)))
-            b_up.append(_pair(beta(k1, k2 + 1)))
-            terms, ok = _six_point_kernel(
-                a_row[k1], a_row[k1 + 1], a_up[k1], b_row[k1], b_row[k1 + 1], b_up[k1]
-            )
-            yield k, terms, ok
+                b_row.append(beta(k1 + 1, k2))
+            b_up.append(beta(k1, k2 + 1))
+            yield k, (a_row[k1], a_row[k1 + 1], a_up[k1], b_row[k1], b_row[k1 + 1], b_up[k1])
 
-    return walk()
+    return verdict, walk()
 
 
 def six_point_scan(g: ShiftGrid2D, m: int, n: int) -> Iterator[tuple[Index, SixPointData]]:
-    """Six-point data at each index of [0,m] x [0,n], lazily, in scan order."""
-    return ((k, SixPointData(terms, ok)) for k, terms, ok in _six_point_walk(g, m, n))
+    """Six-point data at each index of [0,m] x [0,n], lazily, in scan order:
+    the report's terms and the verdict the walk picks for g."""
+    verdict, walk = _six_point_walk(g, m, n)
+    return ((k, SixPointData(_six_point_terms(*w), verdict(*w))) for k, w in walk)
 
 
 @dataclass(frozen=True)
@@ -313,8 +391,10 @@ class WindowReport:
 
 
 def joint_hyponormal_window(g: ShiftGrid2D, m: int, n: int) -> WindowReport:
-    """Six-point test at every index of [0,m] x [0,n]; first failure wins."""
-    witness = next((k for k, _, ok in _six_point_walk(g, m, n) if not ok), None)
+    """Six-point test at every index of [0,m] x [0,n]; first failure wins.
+    Only verdicts are computed; no report term is built."""
+    verdict, walk = _six_point_walk(g, m, n)
+    witness = next((k for k, w in walk if not verdict(*w)), None)
     if witness is None:
         return WindowReport(True, window=(m, n))
     return WindowReport(False, witness=(witness, "six_point"), window=(m, n))
@@ -612,6 +692,13 @@ def _seed_bounds(
     return rows
 
 
+@functools.cache
+def _digit_bound(limit: int) -> int:
+    """10**limit, the least integer of more than limit digits, computed once
+    per limit: the limit can change between builds."""
+    return 10**limit
+
+
 def _figure5_seeds(k2: int, alpha0_sq: Fraction, beta0_sq: Fraction | None) -> tuple[list[int], list[Fraction]]:
     """The levels' parameters ``bergman_chain(k2)`` and their column seeds,
     bottom to top, indices 0..k2: seed k2 is pinned to 16/alpha0_sq and,
@@ -631,7 +718,7 @@ def _figure5_seeds(k2: int, alpha0_sq: Fraction, beta0_sq: Fraction | None) -> t
     chain = [3, 18][:k2]
     # with the limit off (0), Python's default still bounds the depth
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    too_many_digits = 10**limit
+    too_many_digits = _digit_bound(limit)
     for n in range(k2 - len(top_down), -1, -1):
         if n < k2 - 2:
             chain.append(next_chain_param(chain[-2], chain[-1]))

@@ -8,12 +8,12 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab.exactnum import format_rational, psd2_radical_cross
 from shiftlab.measures import combine1d, delta, lebesgue, make1d
-from shiftlab.sfc import make_params, sfc_grid
+from shiftlab.sfc import make_params, params_from_json, sfc_grid
 from shiftlab.shift1d import TAIL_KINDS, WeightSeq, WeightTail, alpha_family, bergman_like, make_weights
 from shiftlab.shift2d import (
     GridError,
@@ -304,19 +304,55 @@ def test_six_point_data_fixed_weights_match_the_fraction_reference():
 
 
 def test_six_point_kernel_reads_integers_only(monkeypatch):
-    # the scan's radical test sees cleared numerators, never a Fraction
+    # built grids take the commuting verdict on integer pairs, with no radical
+    # test; an explicit window still runs the radical test, on cleared integers
     import shiftlab.shift2d as shift2d
 
-    seen = []
+    radical, commuting = [], []
 
-    def spy(*args):
-        seen.append(args)
-        return psd2_radical_cross(*args)
+    def spy(seen, kernel):
+        def recorded(*args):
+            seen.append(args)
+            return kernel(*args)
 
-    monkeypatch.setattr(shift2d, "psd2_radical_cross", spy)
-    for g in (build_figure9(F(1, 2)), build_figure5(3, F(1, 4))[0]):
+        return recorded
+
+    monkeypatch.setattr(shift2d, "psd2_radical_cross", spy(radical, psd2_radical_cross))
+    monkeypatch.setattr(shift2d, "_commuting_verdict", spy(commuting, shift2d._commuting_verdict))
+    figure9 = build_figure9(F(1, 2))
+    for g in (figure9, build_figure5(3, F(1, 4))[0]):
         joint_hyponormal_window(g, 6, 5)
-    assert seen and all(type(v) is int for args in seen for v in args)
+        list(six_point_scan(g, 6, 5))
+    assert radical == [] and commuting
+    assert all(type(v) is int for args in commuting for pair in args for v in pair)
+    alpha_rows = [[figure9.alpha_sq(k1, k2) for k1 in range(8)] for k2 in range(7)]
+    beta_rows = [[figure9.beta_sq(k1, k2) for k1 in range(8)] for k2 in range(7)]
+    expected, calls = joint_hyponormal_window(figure9, 6, 5), len(commuting)
+    assert joint_hyponormal_window(build_explicit(alpha_rows, beta_rows), 6, 5) == expected
+    assert radical and len(commuting) == calls
+    assert all(type(v) is int for args in radical for v in args)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, radical",
+    [
+        # b_right = 9 breaks b_right * a == a_up * b: p = 9, q = 1 and a1 * a2 = 1 < 4
+        ((1, 2, 1), (1, 9, 2), False),
+        # a_up - a = 2 fails the commuting form, but p = q = 1 leaves a zero cross term
+        ((1, 2, 3), (1, F(1, 3), 2), True),
+    ],
+)
+def test_grids_that_need_not_commute_keep_the_radical_verdict(alpha, beta, radical):
+    a, a_right, a_up = alpha = tuple(map(F, alpha))
+    b, b_right, b_up = beta = tuple(map(F, beta))
+    # the commuting form would give the opposite verdict on these weights
+    assert (a * (a_right - a) * (b_up - b) >= b * (a_up - a) ** 2) is not radical
+    explicit = build_explicit([[a, a_right], [a_up, F(1)]], [[b, b_right], [b_up, F(1)]])
+    for g in (explicit, _GridAroundOrigin(alpha, beta)):
+        assert _six_point_by_fractions(g, (0, 0))[4] is radical
+        assert joint_hyponormal_window(g, 0, 0).verdict is radical
+        [(_, data)] = six_point_scan(g, 0, 0)
+        assert data.ok is radical and data == six_point_data(g, (0, 0))
 
 
 def test_six_point_data_equality_reads_the_entries():
@@ -609,6 +645,20 @@ def test_figure5_far_too_deep_is_refused_fast(beta0_sq):
     with pytest.raises(GridError, match=f"k2 = {10**6} is too deep"):
         build_figure5(10**6, F(1, 4), beta0_sq)
     assert time.perf_counter() - start < 1
+
+
+def test_figure5_depth_bound_follows_the_digit_limit_between_builds():
+    # the bound 10**limit is kept per limit, so each limit refuses at its own depth
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits, k2 in ((640, 38), (4300, 96), (640, 38)):
+            sys.set_int_max_str_digits(digits)
+            build_figure5(k2 - 1, F(1, 4), F(1, 1024))
+            message = f"k2 = {k2} is too deep: the Bergman-like parameter of level 0 has more than {digits} digits"
+            with pytest.raises(GridError, match=message):
+                build_figure5(k2, F(1, 4), F(1, 1024))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_figure5_explicit_seed_past_the_digit_limit_is_too_deep():
@@ -933,6 +983,35 @@ def test_row_walk_matches_the_pointwise_scan(case):
     ):
         expected = outcome(slow, grid_from_json(spec), m, n)
         assert outcome(fast, grid_from_json(spec), m, n) == expected
+
+
+def _column_seed(spec, k2):
+    """beta_sq(0, k2) of a built family, from its spec alone."""
+    model = spec["model"]
+    if model == "figure9":
+        return F(spec["y_sq"]) if k2 == 0 else F(k2 + 1, k2 + 2)
+    if model == "totally_flat":
+        return F(spec["y_sq"]) if k2 == 0 else F(1)
+    if model == "figure5":
+        beta0 = spec.get("beta0_sq")
+        seeds = _figure5_seeds(spec["k2"], F(spec["alpha0_sq"]), None if beta0 is None else F(beta0))[1]
+        return seeds[min(k2, spec["k2"])]
+    p = params_from_json(spec)
+    return p.y0_sq if k2 == 0 else p.eta1.moment(k2) / p.eta1.moment(k2 - 1)
+
+
+@given(_scan_case().filter(lambda case: case[0]["model"] != "explicit"))
+@example(({"model": "figure5", "k2": 13, "alpha0_sq": "1/4"}, 12, 8))
+@settings(max_examples=80, deadline=None)
+def test_built_grids_commute_from_their_seeds(case):
+    # the premise of the scans' commuting verdict, checked with Fractions
+    spec, m, n = case
+    if spec["model"] == "totally_flat" and spec["x_row"]["tail"]["kind"] == "none":
+        m = min(m, len(spec["x_row"]["prefix_sq"]) - 1)  # a finite level 0 has no further alpha
+        assume(m >= 0)
+    g = grid_from_json(spec)
+    assert check_commuting(g, m, n) is None
+    assert [g.beta_sq(0, k2) for k2 in range(n + 2)] == [_column_seed(spec, k2) for k2 in range(n + 2)]
 
 
 # ---------------------------------------------------------------------------
