@@ -133,13 +133,14 @@ def h_threshold_sq(p: SFCParams) -> Fraction:
 def s_threshold_sq(p: SFCParams) -> Fraction:
     """Largest admissible squared corner weight for subnormality.
 
-    s_sq = min(xi({1}) / a_sq, xi({0}) / (inv_t_norm - a_sq)); needs the
-    inverse-moment norm of eta1 above a_sq, otherwise the second constraint
-    degenerates.
+    s_sq = min(xi({1}) / a_sq, xi({0}) / (inv_t_norm - a_sq)).  Since
+    inv_t_norm >= 1 >= a_sq, the second term is undefined only where
+    eta1 = delta_1 and a_sq = 1; there the zero-atom constraint is vacuous.
     """
-    if p.inv_t_norm <= p.a_sq:
-        raise SFCError(f"inverse-moment norm {p.inv_t_norm} <= a_sq {p.a_sq}: the zero-atom constraint degenerates")
-    return min(p.xi_at_one / p.a_sq, p.xi_at_zero / (p.inv_t_norm - p.a_sq))
+    s_sq = p.xi_at_one / p.a_sq
+    if p.inv_t_norm == p.a_sq:
+        return s_sq
+    return min(s_sq, p.xi_at_zero / (p.inv_t_norm - p.a_sq))
 
 
 @dataclass(frozen=True)
@@ -154,9 +155,7 @@ def classify(p: SFCParams) -> Classification:
 
     Level k2 >= 1 is the shift a_sq / m_(k2-1), 1, 1, ... with m the moments
     of eta1, which fall to eta1({1}); hyponormal weights never decrease, so
-    a_sq > eta1({1}) is NotHyponormal.  The degenerate s_sq raise never meets
-    this guard: inv_t_norm >= 1, with equality only at eta1 = delta_1, so
-    inv_t_norm <= a_sq <= 1 forces eta1({1}) = 1 = a_sq."""
+    a_sq > eta1({1}) is NotHyponormal."""
     h_sq = h_threshold_sq(p)
     s_sq = s_threshold_sq(p)
     if p.a_sq > p.eta1.atom_mass(Fraction(1)):

@@ -19,10 +19,11 @@ carrying a level's upper row down as the next level's own.  On a grid
 whose betas `ShiftGrid2D` derives, the identity makes
 sqrt(p) - sqrt(q) = (a_up - a) * sqrt(b / a), so the scans decide the
 six-point matrix by a * a1 * a2 >= b * (a_up - a)**2 on cleared integers,
-with no radical.  Explicit windows and duck-typed grids need not commute,
-and the pointwise `six_point_data` is the scans' oracle and feeds witness
-lines, so these run the exact radical-elimination test `psd2_radical_cross`,
-on integers with the weights' denominators cleared.
+with no radical.  Explicit windows need not commute, and the pointwise
+`six_point_data` is the scans' oracle and feeds witness lines, so these
+run the exact radical-elimination test `psd2_radical_cross`, on integers
+with the weights' denominators cleared.  Every scan reads a grid through
+its integer pairs, `_alpha_pair` and `_beta_pair`.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ def gamma2_up_first(g: ShiftGrid2D, k: Index) -> Fraction:
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SixPointData:
     """The six-point test at one index k: the verdict ``ok`` and the four
     matrix entries as the unreduced (numerator, denominator) pairs ``terms``,
@@ -193,8 +194,8 @@ class SixPointData:
     a1 = alpha_sq(k + e1) - alpha_sq(k), a2 = beta_sq(k + e2) - beta_sq(k),
     p = alpha_sq(k + e2) * beta_sq(k + e1) and q = alpha_sq(k) * beta_sq(k)
     are reduced to Fractions on each read: a scan needs only ``ok``, and a
-    report can render each distinct term once.  Two results are equal when
-    their reduced (a1, a2, p, q, ok) are.
+    report can render each distinct term once.  Equality compares the
+    unreduced ``terms`` and ``ok``.
     """
 
     terms: tuple[tuple[int, int], tuple[int, int], tuple[int, int], tuple[int, int]]
@@ -215,15 +216,6 @@ class SixPointData:
     @property
     def q(self) -> Fraction:
         return Fraction(*self.terms[3])
-
-    def _entries(self) -> tuple:
-        return self.a1, self.a2, self.p, self.q, self.ok
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SixPointData) and self._entries() == other._entries()
-
-    def __hash__(self) -> int:
-        return hash(self._entries())
 
 
 def _six_point_terms(
@@ -285,13 +277,6 @@ def six_point_data(g: ShiftGrid2D, k: Index) -> SixPointData:
     return SixPointData(_six_point_terms(*weights), _radical_verdict(*weights))
 
 
-def six_point(g: ShiftGrid2D, k: Index) -> bool:
-    """Hyponormality of the self-commutator compression at one grid point:
-    PSD of [[a1, sqrt(p)-sqrt(q)], [sqrt(p)-sqrt(q), a2]] with a1, a2 the
-    forward alpha and beta increments."""
-    return six_point_data(g, k).ok
-
-
 _Weights = tuple[_Pair, _Pair, _Pair, _Pair, _Pair, _Pair]
 
 
@@ -301,27 +286,18 @@ def _six_point_walk(g: ShiftGrid2D, m: int, n: int) -> tuple[Callable[..., bool]
     weights a, a_right, a_up, b, b_right, b_up as (numerator, denominator)
     pairs.
 
-    A grid whose betas `ShiftGrid2D` derives from its seeds commutes by
-    construction: it hands out its own integer rows, and gets the commuting
-    verdict.  Any other grid (explicit windows, whose betas are given, and
-    duck-typed grids) is read through alpha_sq and beta_sq, and gets the
-    radical test.  The walk keeps level k2's alpha and beta rows and level
-    k2+1's as pairs, and carries the upper rows down as the next level's.
-    Each weight is read once, at its first use, and at each index in the
-    order of ``weights``, so a grid that cannot answer a read raises what
-    the pointwise test would raise first.  A bad window raises here, before
-    any read."""
+    Every grid hands out its own integer pairs.  One whose betas
+    `ShiftGrid2D` derives from its seeds commutes by construction and gets
+    the commuting verdict; an explicit window, whose betas are given, gets
+    the radical test.  The walk keeps level k2's alpha and beta rows and
+    level k2+1's as pairs, and carries the upper rows down as the next
+    level's.  Each weight is read once, at its first use, and at each index
+    in the order of ``weights``, so a grid that cannot answer a read raises
+    what the pointwise test would raise first.  A bad window raises here,
+    before any read."""
     indices = window_indices(m, n)
-    if type(g) is ShiftGrid2D:
-        verdict, alpha, beta = _commuting_verdict, g._alpha_pair, g._beta_pair
-    else:
-        verdict = _radical_verdict
-
-        def alpha(k1: int, k2: int) -> _Pair:
-            return _pair(g.alpha_sq(k1, k2))
-
-        def beta(k1: int, k2: int) -> _Pair:
-            return _pair(g.beta_sq(k1, k2))
+    verdict = _commuting_verdict if type(g) is ShiftGrid2D else _radical_verdict
+    alpha, beta = g._alpha_pair, g._beta_pair
 
     def walk() -> Iterator[tuple[Index, _Weights]]:
         a_up: list[_Pair] = []
@@ -444,7 +420,8 @@ class PropagationReport:
     For every index with alpha_sq(k + e1) == alpha_sq(k), a jointly
     hyponormal grid must satisfy beta_sq(k + e1) == beta_sq(k); an entry
     violating that is a certificate of non-hyponormality, and the six-point
-    verdict at the same index is recorded for cross-checking.
+    verdict at the same index is recorded for cross-checking.  The audit
+    rides the six-point walk, so like every scan it reads level n + 1.
     """
 
     entries: tuple[PropagationEntry, ...]
@@ -455,15 +432,10 @@ class PropagationReport:
 
 
 def propagation_consequences(g: ShiftGrid2D, m: int, n: int) -> PropagationReport:
-    entries = []
-    for k1, k2 in window_indices(m, n):
-        if g.alpha_sq(k1 + 1, k2) == g.alpha_sq(k1, k2):
-            entries.append(
-                PropagationEntry(
-                    (k1, k2), g.beta_sq(k1, k2), g.beta_sq(k1 + 1, k2), six_point(g, (k1, k2))
-                )
-            )
-    return PropagationReport(tuple(entries))
+    verdict, walk = _six_point_walk(g, m, n)
+    return PropagationReport(
+        tuple(PropagationEntry(k, Fraction(*w[3]), Fraction(*w[4]), verdict(*w)) for k, w in walk if w[0] == w[1])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +465,12 @@ class _ExplicitGrid(ShiftGrid2D):
 
     def beta_sq(self, k1: int, k2: int) -> Fraction:
         return self._read("beta", k1, k2)
+
+    def _alpha_pair(self, k1: int, k2: int) -> _Pair:
+        return _pair(self._read("alpha", k1, k2))
+
+    def _beta_pair(self, k1: int, k2: int) -> _Pair:
+        return _pair(self._read("beta", k1, k2))
 
 
 def build_explicit(alpha_rows: list[list[Fraction]], beta_rows: list[list[Fraction]]) -> ShiftGrid2D:

@@ -20,7 +20,7 @@ import shiftlab
 from shiftlab.cli import _canonical_json, build_parser, main
 from shiftlab.exactnum import decimal_string, format_rational
 from shiftlab.measures import MeasureError, _segment_integral, combine1d, delta, lebesgue, make1d
-from shiftlab.sfc import SFCError, example_family, make_params, params_from_json, sfc_grid
+from shiftlab.sfc import SFCError, example_family, make_params, params_from_json, sfc_backward_extension, sfc_grid
 from shiftlab.shift1d import khypo_witness, weights_from_json
 
 F = Fraction
@@ -305,6 +305,28 @@ def test_joint_window_validation(capsys, specs):
     assert code == 2 and "two values" in err
 
 
+_ONES = [["1"] * 3] * 3
+
+
+@pytest.mark.parametrize("command", ["joint", "sixpoint"])
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["human", "json"])
+@pytest.mark.parametrize(
+    ("alpha", "beta", "message"),
+    [
+        ([["1"] * 3, ["1", "0", "1"], ["1"] * 3], _ONES, "alpha squared weight at (1, 1) is 0, not positive"),
+        (_ONES, [["1", "1", "-1/3"], ["1"] * 3, ["1"] * 3], "beta squared weight at (2, 0) is -1/3, not positive"),
+        ([["1"] * 2] * 2, _ONES, "alpha index (2, 0) outside explicit window 2 x 2"),
+        (_ONES, [["1"] * 3] * 2, "beta index (0, 2) outside explicit window 3 x 2"),
+    ],
+    ids=["alpha-zero", "beta-negative", "alpha-small", "beta-small"],
+)
+def test_explicit_window_read_errors(tmp_path, capsys, command, mode, alpha, beta, message):
+    # the scan reaches the bad read after a passing (0, 0), in either report
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps({"model": "explicit", "alpha_sq": alpha, "beta_sq": beta}), encoding="utf-8")
+    assert run(capsys, [command, str(path), "--window", "1", "1", *mode]) == (2, "", f"error: {message}\n")
+
+
 def test_json_output_is_deterministic(capsys, specs):
     argv = ["joint", specs["fig5"], "--window", "12", "6", "--json"]
     _, first, _ = run(capsys, argv)
@@ -330,6 +352,26 @@ def test_classify_sfc_exit_zero_for_any_verdict(capsys, specs):
     # a computed verdict is a success even when it is NotHyponormal
     code, out, _ = run(capsys, ["classify-sfc", specs["sfc_tight"]])
     assert code == 0 and "classification:" in out
+
+
+def test_classify_sfc_at_the_unit_column(tmp_path, capsys):
+    # eta = delta_1 with a_sq = 1 leaves the zero-atom constraint vacuous:
+    # s_sq = xi({1}), and the verdict is Subnormal just where the backward
+    # extension exists
+    path = tmp_path / "unit_column.json"
+    three_atoms = make1d([(F(0), F(1, 3)), (F(1, 2), F(1, 3)), (F(1), F(1, 3))])
+    two_atoms = make1d([(F(0), F(1, 2)), (F(1), F(1, 2))])
+    spread = combine1d([(F(1, 2), lebesgue()), (F(1, 4), delta(F(0))), (F(1, 4), delta(F(1)))])
+    for xi in (three_atoms, two_atoms, spread):
+        for y0_sq in ("1/10", "1/4", "1/3", "1/2", "1"):
+            spec = {"xi": xi.to_json_obj(), "eta": delta(F(1)).to_json_obj(), "a_sq": "1", "y0_sq": y0_sq}
+            path.write_text(json.dumps(spec), encoding="utf-8")
+            code, out, err = run(capsys, ["classify-sfc", str(path), "--json"])
+            assert (code, err) == (0, "")
+            doc = json.loads(out)
+            assert doc["s_sq"]["rat"] == format_rational(xi.atom_mass(F(1)))
+            subnormal = doc["verdict"] == "Subnormal"
+            assert subnormal == sfc_backward_extension(params_from_json(spec)).ok == (F(y0_sq) <= xi.atom_mass(F(1)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Transposing a two-variable window swaps the variables, and scaling the
 weights is a congruence of each test matrix with a positive diagonal.
 Neither changes a six-point or a Hankel PSD verdict, so each scan must
-answer the changed input as it answered the original."""
+answer the changed input as it answered the original.  The six-point test
+is local, so restricting a window to the subshift at a base shifts its
+scan and changes nothing else."""
 
 from fractions import Fraction
 
@@ -90,6 +92,20 @@ def test_transposing_a_window_transposes_the_failing_six_points(case):
     # the failing sets transpose; the first witness need not, since the scan order changes
     assert _failing(swapped, n, m) == {(k2, k1) for k1, k2 in _failing(g, m, n)}
     assert joint_hyponormal_window(swapped, n, m).verdict == joint_hyponormal_window(g, m, n).verdict
+
+
+@given(_window_case(), st.integers(0, 5), st.integers(0, 4))
+@example((*_window_of(grid_from_json(_named_specs()[3]), 3, 2), 3, 2), 0, 0)  # base at the failing equal pair
+@example((*_window_of(grid_from_json(_named_specs()[0]), 5, 4), 5, 4), 2, 3)
+@settings(max_examples=150, deadline=None)
+def test_restricting_a_window_shifts_its_six_point_scan(case, i, j):
+    alpha, beta, m, n = case
+    i, j = i % (m + 1), j % (n + 1)
+    g = build_explicit(alpha, beta)
+    sub = build_explicit([row[i:] for row in alpha[j:]], [row[i:] for row in beta[j:]])
+    # terms and verdicts both, in the scan order of the sub-window
+    expected = [((k1 - i, k2 - j), data) for (k1, k2), data in six_point_scan(g, m, n) if k1 >= i and k2 >= j]
+    assert list(six_point_scan(sub, m - i, n - j)) == expected
 
 
 @given(_window_case(), _scale, _scale)

@@ -147,11 +147,18 @@ def test_degenerate_level_thresholds():
 
 
 def test_degenerate_column_norm():
-    p = make_params(three_atoms(), delta(F(1)), F(1), F(1, 2))
-    with pytest.raises(SFCError):
-        s_threshold_sq(p)
-    with pytest.raises(SFCError):
-        classify(p)
+    # eta1 = delta_1 with a_sq = 1 gives inv_t_norm = a_sq: the zero-atom
+    # constraint is vacuous, so s_sq = xi({1}) / a_sq, and the backward
+    # extension exists just where the verdict is Subnormal
+    two_atoms = make1d([(F(0), F(1, 2)), (F(1), F(1, 2))])
+    spread = combine1d([(F(1, 2), lebesgue()), (F(1, 4), delta(F(0))), (F(1, 4), delta(F(1)))])
+    for xi in (three_atoms(), two_atoms, spread):
+        for y0_sq in (F(1, 10), F(1, 4), F(1, 3), F(1, 2), F(1)):
+            p = make_params(xi, delta(F(1)), F(1), y0_sq)
+            assert p.inv_t_norm == p.a_sq == 1
+            assert s_threshold_sq(p) == xi.atom_mass(F(1))
+            subnormal = classify(p).verdict == "Subnormal"
+            assert subnormal == sfc_backward_extension(p).ok == (y0_sq <= xi.atom_mass(F(1)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from shiftlab.sfc import make_params, params_from_json, sfc_grid
 from shiftlab.shift1d import TAIL_KINDS, WeightSeq, WeightTail, alpha_family, bergman_like, make_weights
 from shiftlab.shift2d import (
     GridError,
-    SixPointData,
+    PropagationEntry,
+    PropagationReport,
     _display_bound_top_pair,
     _figure5_seeds,
     _largest_pow2_at_most,
@@ -347,22 +348,11 @@ def test_grids_that_need_not_commute_keep_the_radical_verdict(alpha, beta, radic
     b, b_right, b_up = beta = tuple(map(F, beta))
     # the commuting form would give the opposite verdict on these weights
     assert (a * (a_right - a) * (b_up - b) >= b * (a_up - a) ** 2) is not radical
-    explicit = build_explicit([[a, a_right], [a_up, F(1)]], [[b, b_right], [b_up, F(1)]])
-    for g in (explicit, _GridAroundOrigin(alpha, beta)):
-        assert _six_point_by_fractions(g, (0, 0))[4] is radical
-        assert joint_hyponormal_window(g, 0, 0).verdict is radical
-        [(_, data)] = six_point_scan(g, 0, 0)
-        assert data.ok is radical and data == six_point_data(g, (0, 0))
-
-
-def test_six_point_data_equality_reads_the_entries():
-    # equal entries from different weights compare equal, as the entries did
-    g1 = _GridAroundOrigin((F(1), F(2), F(1)), (F(1), F(1), F(2)))
-    g2 = _GridAroundOrigin((F(2), F(3), F(1, 2)), (F(1, 2), F(2), F(3, 2)))
-    d1, d2 = six_point_data(g1, (0, 0)), six_point_data(g2, (0, 0))
-    assert (d1.a1, d1.a2, d1.p, d1.q) == (d2.a1, d2.a2, d2.p, d2.q) == (F(1), F(1), F(1), F(1))
-    assert d1 == d2 and hash(d1) == hash(d2)
-    assert d1 != six_point_data(build_figure9(F(1, 3)), (0, 0))
+    g = build_explicit([[a, a_right], [a_up, F(1)]], [[b, b_right], [b_up, F(1)]])
+    assert _six_point_by_fractions(g, (0, 0))[4] is radical
+    assert joint_hyponormal_window(g, 0, 0).verdict is radical
+    [(_, data)] = six_point_scan(g, 0, 0)
+    assert data.ok is radical and data == six_point_data(g, (0, 0))
 
 
 def test_six_point_terms_reduce_to_the_entries():
@@ -374,15 +364,6 @@ def test_six_point_terms_reduce_to_the_entries():
             assert tuple(F(n, d) for n, d in data.terms) == _six_point_by_fractions(g, k)[:4]
             unreduced += sum(F(n, d).denominator != d for n, d in data.terms)
     assert unreduced
-
-
-def test_six_point_data_equality_ignores_the_unreduced_terms():
-    d1 = SixPointData(((1, 2), (2, 6), (3, 3), (0, 5)), True)
-    d2 = SixPointData(((4, 8), (1, 3), (1, 1), (0, 1)), True)
-    assert d1.terms != d2.terms
-    assert d1 == d2 and hash(d1) == hash(d2)
-    assert d1 != SixPointData(d2.terms, False)
-    assert d1 != SixPointData(((1, 2), (1, 3), (1, 1), (1, 5)), True)
 
 
 def test_both_moment_paths_reject_negative_indices():
@@ -983,6 +964,35 @@ def test_row_walk_matches_the_pointwise_scan(case):
     ):
         expected = outcome(slow, grid_from_json(spec), m, n)
         assert outcome(fast, grid_from_json(spec), m, n) == expected
+
+
+def _propagation_by_fractions(g, m, n):
+    """Reference: the audit as a loop over reduced Fractions, with the
+    pointwise six-point verdict at each equal alpha pair."""
+    entries = []
+    for k1, k2 in window_indices(m, n):
+        if g.alpha_sq(k1 + 1, k2) == g.alpha_sq(k1, k2):
+            ok = six_point_data(g, (k1, k2)).ok
+            entries.append(PropagationEntry((k1, k2), g.beta_sq(k1, k2), g.beta_sq(k1 + 1, k2), ok))
+    return PropagationReport(tuple(entries))
+
+
+_flat_pair_row = {"prefix_sq": ["1/2", "1/2"], "tail": {"kind": "constant", "value": "1"}}
+
+
+@given(_scan_case())
+@example(({"model": "totally_flat", "x_row": _flat_pair_row, "y_sq": "1/8"}, 5, 3))
+@example(({"model": "explicit", "alpha_sq": [["1", "1", "2"]] * 3, "beta_sq": [["1", "2", "2"]] * 3}, 1, 1))
+@settings(max_examples=250, deadline=None)
+def test_propagation_audit_matches_its_fraction_loop(case):
+    # where every six-point read succeeds; the audit reads what the scans read
+    spec, m, n = case
+    try:
+        list(_pointwise_scan(grid_from_json(spec), m, n))
+    except ValueError:
+        return
+    expected = _propagation_by_fractions(grid_from_json(spec), m, n)
+    assert propagation_consequences(grid_from_json(spec), m, n) == expected
 
 
 def _column_seed(spec, k2):
