@@ -20,11 +20,15 @@ Both matrix tests accept ints as well as Fractions.  A positive multiple of
 a matrix is PSD exactly when the matrix is, so the PSD test clears the
 denominators by their least common multiple and eliminates on integers; a
 caller that knows a positive multiple with integer entries can pass that
-instead (`shiftlab.shift1d.hankel_psd` does).  The verdict of the radical
-test does not change when ``A1`` is scaled by ``s1 > 0``, ``A2`` by
-``s2 > 0`` and ``P``, ``Q`` by ``s1*s2``.  A caller holding numerators and
-denominators can therefore clear them and ask on integers, with no gcd on
-the way (the six-point tests of `shiftlab.shift2d` do).
+instead (`shiftlab.shift1d.hankel_psd` does).  A caller that holds a
+symmetric integer matrix it built itself can skip the input checks and the
+clearing: the private entry `_psd_cleared` runs the same elimination in
+place, with no order cap (`shiftlab.shift1d.khypo_witness` does).  The
+verdict of the radical test does not change when ``A1`` is scaled by
+``s1 > 0``, ``A2`` by ``s2 > 0`` and ``P``, ``Q`` by ``s1*s2``.  A caller
+holding numerators and denominators can therefore clear them and ask on
+integers, with no gcd on the way (the six-point tests of `shiftlab.shift2d`
+do).
 No floating point is used anywhere in this module.
 
 Polynomials are plain lists of Fractions in ascending degree order,
@@ -177,7 +181,7 @@ def matrix_det(rows: Matrix) -> Fraction:
     return sign * result
 
 
-def _check_symmetric(rows: Matrix) -> int:
+def _check_symmetric(rows: Matrix) -> None:
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise ExactInputError("matrix must be square and nonempty")
@@ -187,7 +191,6 @@ def _check_symmetric(rows: Matrix) -> int:
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
                 raise ExactInputError(f"matrix not symmetric at ({i},{j})")
-    return n
 
 
 def psd_check(rows: Matrix) -> bool:
@@ -212,7 +215,9 @@ def psd_check(rows: Matrix) -> bool:
     out of every later complement.  Such a pivot is skipped and prev is
     kept, because S, and with it det A[S, S], is unchanged.  The rule is
     complete for symmetric matrices and costs O(n**3) integer operations,
-    each on minors of the cleared matrix.
+    each on minors of the cleared matrix.  The elimination is
+    `_psd_cleared`, the entry for callers that already hold a symmetric
+    integer matrix; this one adds the input checks and the clearing.
 
     >>> one = Fraction(1)
     >>> psd_check([[one, one/2], [one/2, one/3]])
@@ -230,10 +235,16 @@ def psd_check(rows: Matrix) -> bool:
     >>> psd_check([[1, 1, 2], [1, 1, 2], [2, 2, 5]])
     True
     """
-    n = _check_symmetric(rows)
+    _check_symmetric(rows)
     scale = lcm(*(x.denominator for row in rows for x in row))
+    return _psd_cleared([[x.numerator * (scale // x.denominator) for x in row] for row in rows])
+
+
+def _psd_cleared(a: list[list[int]]) -> bool:
+    """`psd_check`'s elimination on a square symmetric integer matrix, in
+    place and with no input check or order cap."""
+    n = len(a)
     # Only the upper triangle is kept current; the elimination stays symmetric.
-    a = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
     prev = 1
     for k in range(n):
         pivot_row = a[k]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .exactnum import Matrix, format_rational, parse_list_field, parse_rational_field, psd_check
+from .exactnum import Matrix, _psd_cleared, format_rational, parse_list_field, parse_rational_field, psd_check
 from .measures import Measure1D, MeasureError
 
 
@@ -182,8 +182,9 @@ def hankel_matrix(w: WeightSeq, order: int, base: int) -> Matrix:
 
 
 def _cleared_hankel(weights: list[Fraction], order: int) -> list[list[int]]:
-    """The integer multiple of a moment Hankel matrix that hankel_psd tests,
-    from the 2 * order squared weights at and after its base."""
+    """The integer multiple of a moment Hankel matrix that hankel_psd and
+    khypo_witness test, from the 2 * order squared weights at and after its
+    base; symmetric by construction."""
     size = 2 * order + 1
     entries = [1] * size
     for t, q in enumerate(weights):
@@ -200,7 +201,7 @@ def hankel_psd(w: WeightSeq, order: int, base: int) -> bool:
 
     Order 1 is hyponormality at one site; order 2 matches the stated
     3 x 3 moment-matrix test; larger orders are the natural extension of the
-    same pattern and are used only by the witness search below.
+    same pattern, up to order 7 (matrix order 8, the cap of `psd_check`).
 
     The test runs on integers.  With w_(base+s) = n_s/d_s for s < 2*order
     and P = prod d_s, the matrix (P/gamma_base) * H has entry t = i + j
@@ -221,7 +222,10 @@ def khypo_witness(w: WeightSeq, order: int, window: int) -> int | None:
 
     Each weight is read once, in index order and only as far as the base
     being tested needs, so a finite sequence fails at its first missing
-    index and only when a base reaches it.
+    index and only when a base reaches it.  Each base's matrix is the
+    integer multiple `hankel_psd` tests, handed straight to the elimination
+    `_psd_cleared`: it is symmetric and integral by construction, and the
+    order is not capped.
     """
     if order < 1 or window < 0:
         raise ShiftError(f"need order >= 1 and window >= 0, got {order}, {window}")
@@ -229,7 +233,7 @@ def khypo_witness(w: WeightSeq, order: int, window: int) -> int | None:
     for base in range(window + 1):
         while len(weights) < base + 2 * order:
             weights.append(w.weight_sq(len(weights)))
-        if not psd_check(_cleared_hankel(weights[base : base + 2 * order], order)):
+        if not _psd_cleared(_cleared_hankel(weights[base : base + 2 * order], order)):
             return base
     return None
 

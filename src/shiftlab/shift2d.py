@@ -70,6 +70,7 @@ class ShiftGrid2D:
         self._spec = spec
         self._alphas: dict[int, list[_Pair]] = {}
         self._betas: dict[int, list[_Pair]] = {}
+        self._flat: set[int] = set()
 
     def alpha_sq(self, k1: int, k2: int) -> Fraction:
         if k1 < 0 or k2 < 0:
@@ -99,14 +100,18 @@ class ShiftGrid2D:
     def _beta_pair(self, k1: int, k2: int) -> _Pair:
         """beta_sq(k1, k2) as a reduced pair.  Each step multiplies by
         a_up / a_here with the factors cross-cancelled as `Fraction` does, so
-        every pair is the reduced Fraction the identity gives."""
-        if self._level(k2 + 1) is self._level(k2):
-            return _pair(self._seed(k2))
+        every pair is the reduced Fraction the identity gives.  Whether the
+        level is the level above is asked once, when its row is made; such
+        a level keeps the one-entry row of its seed."""
         row = self._betas.get(k2)
         if row is None:
             row = self._betas[k2] = [_pair(self._seed(k2))]
+            if self._level(k2 + 1) is self._level(k2):
+                self._flat.add(k2)
         if len(row) > k1:
             return row[k1]
+        if k2 in self._flat:
+            return row[0]
         ups, heres = self._alpha_row(k2 + 1, k1), self._alpha_row(k2, k1)
         for i in range(len(row) - 1, k1):
             up, here = ups[i], heres[i]

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 import shiftlab.exactnum
 from shiftlab.exactnum import (
+    MAX_MATRIX_ORDER,
     ExactInputError,
+    _psd_cleared,
     _odd_multiplicity_part,
     decimal_string,
     format_rational,
@@ -591,11 +593,11 @@ _entries = st.one_of(st.just(Fraction(0)), st.fractions(-2, 2, max_denominator=3
 
 
 @st.composite
-def _near_psd_symmetric(draw):
-    """Low-rank Gram matrices of order 1-7, some with a diagonal entry
-    lowered or an off-diagonal pair bumped, so singular PSD matrices and
-    matrices just off the PSD cone both occur."""
-    n = draw(st.integers(1, 7))
+def _near_psd_symmetric(draw, min_order=1, max_order=7):
+    """Low-rank Gram matrices of order 1-7 (or as given), some with a
+    diagonal entry lowered or an off-diagonal pair bumped, so singular PSD
+    matrices and matrices just off the PSD cone both occur."""
+    n = draw(st.integers(min_order, max_order))
     vectors = draw(st.lists(st.lists(_entries, min_size=n, max_size=n), max_size=n))
     rows = [
         [sum((v[i] * v[j] for v in vectors), Fraction(0)) for j in range(n)] for i in range(n)
@@ -648,10 +650,10 @@ def _cleared(rows):
 
 
 @st.composite
-def _atomic_moment_hankel(draw):
-    """Hankel matrices (m_(i+j)) of order 1-6 of the moments of a measure
-    with 1-4 atoms in [0, 1] (singular once the order reaches the number of
-    atoms), half of them with one moment perturbed."""
+def _atomic_moment_hankel(draw, min_order=1, max_order=6):
+    """Hankel matrices (m_(i+j)) of order 1-6 (or as given) of the moments
+    of a measure with 1-4 atoms in [0, 1] (singular once the order reaches
+    the number of atoms), half of them with one moment perturbed."""
     atoms = draw(
         st.lists(
             st.tuples(st.fractions(0, 1, max_denominator=12), st.fractions(Fraction(1, 12), 1, max_denominator=12)),
@@ -659,7 +661,7 @@ def _atomic_moment_hankel(draw):
             max_size=4,
         )
     )
-    order = draw(st.integers(1, 6))
+    order = draw(st.integers(min_order, max_order))
     moments = [sum((mass * x**t for x, mass in atoms), Fraction(0)) for t in range(2 * order + 1)]
     if draw(st.booleans()):
         t = draw(st.integers(0, 2 * order))
@@ -673,12 +675,38 @@ def test_psd_check_agrees_with_fraction_ldl_on_atomic_hankels(rows):
     expected = _psd_by_fraction_ldl(rows)
     assert psd_check(rows) == expected
     assert psd_check(_cleared(rows)) == expected
+    assert _psd_cleared(_cleared(rows)) == expected
 
 
 @given(_near_psd_symmetric())
 @settings(max_examples=300, deadline=None)
 def test_psd_check_agrees_with_fraction_ldl_on_cleared_matrices(rows):
-    assert psd_check(_cleared(rows)) == _psd_by_fraction_ldl(rows) == psd_check(rows)
+    assert _psd_cleared(_cleared(rows)) == psd_check(_cleared(rows)) == _psd_by_fraction_ldl(rows) == psd_check(rows)
+
+
+@given(st.one_of(_near_psd_symmetric(9, 10), _atomic_moment_hankel(8, 9)))
+@settings(max_examples=100, deadline=None)
+def test_psd_cleared_has_no_order_cap(rows):
+    # orders 9-10: past the cap of the public entry, which still refuses them
+    assert len(rows) > MAX_MATRIX_ORDER
+    assert _psd_cleared(_cleared(rows)) == _psd_by_fraction_ldl(rows)
+    with pytest.raises(ExactInputError, match=f"matrix order {len(rows)} exceeds {MAX_MATRIX_ORDER}"):
+        psd_check(rows)
+
+
+@given(_near_psd_symmetric())
+@settings(max_examples=100, deadline=None)
+def test_psd_cleared_mutates_only_its_argument(rows):
+    drawn = [row[:] for row in rows]
+    cleared = _cleared(rows)
+    kept = [row[:] for row in cleared]
+    # the public entry hands the elimination a matrix of its own
+    assert psd_check(rows) == psd_check(cleared)
+    assert rows == drawn and cleared == kept
+    # the private entry works in place, on the upper triangle only
+    assert _psd_cleared(cleared) == psd_check(kept)
+    n = len(rows)
+    assert all(cleared[i][j] == kept[i][j] for i in range(n) for j in range(i))
 
 
 def test_psd_check_zero_pivot_rule():

@@ -4,10 +4,11 @@ from fractions import Fraction
 from math import ceil, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shiftlab.exactnum import matrix_det
+from shiftlab import shift1d
+from shiftlab.exactnum import ExactInputError, matrix_det
 from shiftlab.measures import MeasureError, combine1d, delta, density, lebesgue, make1d
 from shiftlab.shift1d import (
     TAIL_KINDS,
@@ -248,6 +249,67 @@ def test_cleared_hankel_is_the_scaled_moment_matrix(w):
             rows = hankel_matrix(w, order, base)
             assert _cleared_hankel(weights, order) == [[scale * g for g in row] for row in rows]
             assert hankel_psd(w, order, base) == _psd_by_fraction_ldl(rows)
+
+
+def _first_failing_base(w, order, window):
+    """Reference scan: the first base whose Hankel matrix fails the Fraction
+    LDL^T test."""
+    bases = range(window + 1)
+    return next((base for base in bases if not _psd_by_fraction_ldl(hankel_matrix(w, order, base))), None)
+
+
+def _outcome(scan, *args):
+    try:
+        return scan(*args)
+    except ShiftError as err:
+        return f"ShiftError: {err}"
+
+
+@st.composite
+def _weight_seqs(draw):
+    """A prefix of up to four squared weights, sorted half the time, before a
+    tail of any kind, the finite "none" tail included."""
+    prefix = draw(st.lists(st.fractions(F(1, 8), 2, max_denominator=8), max_size=4))
+    if draw(st.booleans()):
+        prefix.sort()
+    kind = draw(st.sampled_from(TAIL_KINDS))
+    value = {
+        "constant": st.fractions(F(1, 8), 2, max_denominator=8),
+        "beta_r_family": st.fractions(F(1, 8), 1, max_denominator=8),
+        "bergman_like": st.integers(1, 3),
+    }.get(kind, st.none())
+    return make_weights(prefix, WeightTail(kind, draw(value)))
+
+
+@given(_weight_seqs(), st.integers(1, 6), st.integers(0, 6))
+@example(make_weights((F(1, 2), F(3, 4), F(7, 8))), 1, 2)  # passes bases 0-1, then runs out
+@settings(max_examples=200, deadline=None)
+def test_khypo_witness_is_the_first_base_the_fraction_reference_fails(w, order, window):
+    assert _outcome(khypo_witness, w, order, window) == _outcome(_first_failing_base, w, order, window)
+
+
+def test_khypo_witness_does_not_go_through_the_checked_entry(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("psd_check called")
+
+    monkeypatch.setattr(shift1d, "psd_check", refuse)
+    assert khypo_witness(witness_shift(), 2, 5) == 0
+    assert khypo_witness(bergman_like(1), 2, 29) is None
+    assert propagation_audit(witness_shift(), 4, 10).kind == "WITNESS"
+    with pytest.raises(AssertionError):
+        hankel_psd(bergman_like(1), 2, 0)
+
+
+def test_khypo_witness_answers_past_the_matrix_order_cap():
+    # orders 8 and 9 (matrices of order 9 and 10) raised ExactInputError
+    # through psd_check; the scan now answers, the public Hankel test still
+    # refuses them, and the CLI still caps --k at 6
+    assert khypo_witness(bergman_like(1), 8, 2) is None
+    for order in (8, 9):
+        for w in (bergman_like(1), alpha_family(), witness_shift()):
+            assert khypo_witness(w, order, 2) == _first_failing_base(w, order, 2)
+        with pytest.raises(ExactInputError, match=f"matrix order {order + 1} exceeds 8"):
+            hankel_psd(bergman_like(1), order, 0)
 
 
 def test_closed_form_matches_expanded_determinant():
