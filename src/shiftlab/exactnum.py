@@ -27,8 +27,8 @@ place, with no order cap (`shiftlab.shift1d.khypo_witness` does).  The
 verdict of the radical test does not change when ``A1`` is scaled by
 ``s1 > 0``, ``A2`` by ``s2 > 0`` and ``P``, ``Q`` by ``s1*s2``.  A caller
 holding numerators and denominators can therefore clear them and ask on
-integers, with no gcd on the way (the six-point tests of `shiftlab.shift2d`
-do).
+integers, with no gcd on the way (`shiftlab.shift2d.six_point_data`, the
+one caller, does; the window scans need no radical).
 No floating point is used anywhere in this module.
 
 Polynomials are plain lists of Fractions in ascending degree order,

@@ -10,20 +10,20 @@ which follow from the commuting identity
 so commutativity holds by construction and `check_commuting` re-verifies it
 on demand.  A level that repeats the one above keeps its seed all along, the
 grid form of flatness.  Explicit windows are the one grid whose betas are
-given rather than derived.  Verdicts never touch floating point.
+given rather than derived; `build_explicit` refuses one that is not
+positive or breaks the identity.  Verdicts never touch floating point.
 
 Every window scan walks the window in the order of `window_indices`, each
 level once, and the first failing index wins as witness.  The six-point
 scans read each weight once, as an integer (numerator, denominator) pair,
-carrying a level's upper row down as the next level's own.  On a grid
-whose betas `ShiftGrid2D` derives, the identity makes
-sqrt(p) - sqrt(q) = (a_up - a) * sqrt(b / a), so the scans decide the
-six-point matrix by a * a1 * a2 >= b * (a_up - a)**2 on cleared integers,
-with no radical.  Explicit windows need not commute, and the pointwise
-`six_point_data` is the scans' oracle and feeds witness lines, so these
-run the exact radical-elimination test `psd2_radical_cross`, on integers
-with the weights' denominators cleared.  Every scan reads a grid through
-its integer pairs, `_alpha_pair` and `_beta_pair`.
+carrying a level's upper row down as the next level's own.  Every grid
+commutes, so sqrt(p) - sqrt(q) = (a_up - a) * sqrt(b / a), and the scans
+decide the six-point matrix by a * a1 * a2 >= b * (a_up - a)**2 on cleared
+integers, with no radical.  The pointwise `six_point_data`, the scans'
+oracle and the source of witness lines, assumes no identity: it runs the
+exact radical-elimination test `psd2_radical_cross`, on integers with the
+weights' denominators cleared.  Every scan reads a grid through its integer
+pairs, `_alpha_pair` and `_beta_pair`.
 """
 
 from __future__ import annotations
@@ -238,18 +238,6 @@ def _six_point_terms(
     return (arn * ad - an * ard, ard * ad), (bun * bd - bn * bud, bud * bd), (aun * brn, aud * brd), (an * bn, ad * bd)
 
 
-def _radical_verdict(a: _Pair, a_right: _Pair, a_up: _Pair, b: _Pair, b_right: _Pair, b_up: _Pair) -> bool:
-    """The six-point verdict of any six weights, by the radical test.
-
-    With the terms a1 = n1/d1, a2 = n2/d2, p = pn/u and q = qn/(ad*bd),
-    where d1 = ard*ad, d2 = bud*bd and u = aud*brd, the radical test is
-    unchanged by scaling a1 by d1, a2 by d2*u and p, q by d1*d2*u; each
-    shared denominator then appears once, and the test runs on integers
-    only."""
-    (n1, d1), (n2, d2), (pn, u), (qn, _) = _six_point_terms(a, a_right, a_up, b, b_right, b_up)
-    return psd2_radical_cross(n1, n2 * u, pn * d1 * d2, qn * a_right[1] * b_up[1] * u)
-
-
 def _commuting_verdict(a: _Pair, a_right: _Pair, a_up: _Pair, b: _Pair, b_right: _Pair, b_up: _Pair) -> bool:
     """The six-point verdict where b_right * a == a_up * b, with no radical.
 
@@ -273,35 +261,35 @@ def _commuting_verdict(a: _Pair, a_right: _Pair, a_up: _Pair, b: _Pair, b_right:
 
 
 def six_point_data(g: ShiftGrid2D, k: Index) -> SixPointData:
-    """Six-point test at k on cleared denominators, by the radical test on
-    every grid: the pointwise oracle of the window scans."""
+    """Six-point test at k by the radical test, which needs no commuting
+    identity: the scans' pointwise oracle.  With a1 = n1/d1, a2 = n2/d2,
+    p = pn/u and q = qn/(ad*bd), where d1 = ard*ad, d2 = bud*bd and
+    u = aud*brd, the test is unchanged by scaling a1 by d1, a2 by d2*u and
+    p, q by d1*d2*u; each shared denominator then appears once, and the test
+    runs on integers only."""
     k1, k2 = k
     a, a_right, a_up = g.alpha_sq(k1, k2), g.alpha_sq(k1 + 1, k2), g.alpha_sq(k1, k2 + 1)
     b, b_right, b_up = g.beta_sq(k1, k2), g.beta_sq(k1 + 1, k2), g.beta_sq(k1, k2 + 1)
-    weights = tuple(map(_pair, (a, a_right, a_up, b, b_right, b_up)))
-    return SixPointData(_six_point_terms(*weights), _radical_verdict(*weights))
+    terms = _six_point_terms(*map(_pair, (a, a_right, a_up, b, b_right, b_up)))
+    (n1, d1), (n2, d2), (pn, u), (qn, _) = terms
+    ok = psd2_radical_cross(n1, n2 * u, pn * d1 * d2, qn * a_right.denominator * b_up.denominator * u)
+    return SixPointData(terms, ok)
 
 
 _Weights = tuple[_Pair, _Pair, _Pair, _Pair, _Pair, _Pair]
 
 
-def _six_point_walk(g: ShiftGrid2D, m: int, n: int) -> tuple[Callable[..., bool], Iterator[tuple[Index, _Weights]]]:
-    """The verdict kernel for g, and (k, weights) at each index of
-    [0,m] x [0,n], lazily, in scan order, with weights the six squared
-    weights a, a_right, a_up, b, b_right, b_up as (numerator, denominator)
-    pairs.
-
-    Every grid hands out its own integer pairs.  One whose betas
-    `ShiftGrid2D` derives from its seeds commutes by construction and gets
-    the commuting verdict; an explicit window, whose betas are given, gets
-    the radical test.  The walk keeps level k2's alpha and beta rows and
-    level k2+1's as pairs, and carries the upper rows down as the next
-    level's.  Each weight is read once, at its first use, and at each index
-    in the order of ``weights``, so a grid that cannot answer a read raises
-    what the pointwise test would raise first.  A bad window raises here,
-    before any read."""
+def _six_point_walk(g: ShiftGrid2D, m: int, n: int) -> Iterator[tuple[Index, _Weights]]:
+    """(k, weights) at each index of [0,m] x [0,n], lazily, in scan order:
+    the six squared weights a, a_right, a_up, b, b_right, b_up as the grid's
+    integer (numerator, denominator) pairs, for `_commuting_verdict`, since
+    every grid commutes wherever it can be read.  The walk keeps level k2's
+    alpha and beta rows and level k2+1's, and carries the upper rows down as
+    the next level's.  Each weight is read once, at its first use, and at
+    each index in the order of ``weights``, so a grid that cannot answer a
+    read raises what the pointwise test would raise first.  A bad window
+    raises here, before any read."""
     indices = window_indices(m, n)
-    verdict = _commuting_verdict if type(g) is ShiftGrid2D else _radical_verdict
     alpha, beta = g._alpha_pair, g._beta_pair
 
     def walk() -> Iterator[tuple[Index, _Weights]]:
@@ -323,14 +311,13 @@ def _six_point_walk(g: ShiftGrid2D, m: int, n: int) -> tuple[Callable[..., bool]
             b_up.append(beta(k1, k2 + 1))
             yield k, (a_row[k1], a_row[k1 + 1], a_up[k1], b_row[k1], b_row[k1 + 1], b_up[k1])
 
-    return verdict, walk()
+    return walk()
 
 
 def six_point_scan(g: ShiftGrid2D, m: int, n: int) -> Iterator[tuple[Index, SixPointData]]:
     """Six-point data at each index of [0,m] x [0,n], lazily, in scan order:
-    the report's terms and the verdict the walk picks for g."""
-    verdict, walk = _six_point_walk(g, m, n)
-    return ((k, SixPointData(_six_point_terms(*w), verdict(*w))) for k, w in walk)
+    the report's terms and the commuting verdict."""
+    return ((k, SixPointData(_six_point_terms(*w), _commuting_verdict(*w))) for k, w in _six_point_walk(g, m, n))
 
 
 @dataclass(frozen=True)
@@ -374,8 +361,7 @@ class WindowReport:
 def joint_hyponormal_window(g: ShiftGrid2D, m: int, n: int) -> WindowReport:
     """Six-point test at every index of [0,m] x [0,n]; first failure wins.
     Only verdicts are computed; no report term is built."""
-    verdict, walk = _six_point_walk(g, m, n)
-    witness = next((k for k, w in walk if not verdict(*w)), None)
+    witness = next((k for k, w in _six_point_walk(g, m, n) if not _commuting_verdict(*w)), None)
     if witness is None:
         return WindowReport(True, window=(m, n))
     return WindowReport(False, witness=(witness, "six_point"), window=(m, n))
@@ -437,10 +423,12 @@ class PropagationReport:
 
 
 def propagation_consequences(g: ShiftGrid2D, m: int, n: int) -> PropagationReport:
-    verdict, walk = _six_point_walk(g, m, n)
-    return PropagationReport(
-        tuple(PropagationEntry(k, Fraction(*w[3]), Fraction(*w[4]), verdict(*w)) for k, w in walk if w[0] == w[1])
+    entries = (
+        PropagationEntry(k, Fraction(*w[3]), Fraction(*w[4]), _commuting_verdict(*w))
+        for k, w in _six_point_walk(g, m, n)
+        if w[0] == w[1]
     )
+    return PropagationReport(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +438,9 @@ def propagation_consequences(g: ShiftGrid2D, m: int, n: int) -> PropagationRepor
 class _ExplicitGrid(ShiftGrid2D):
     """Materialized windows, betas given rather than derived from seeds."""
 
-    def __init__(self, alpha_rows: list[list[Fraction]], beta_rows: list[list[Fraction]], spec: dict):
+    def __init__(self, windows: dict[str, list[list[Fraction]]], spec: dict):
         self._spec = spec
-        self._windows = {"alpha": alpha_rows, "beta": beta_rows}
+        self._windows = windows
 
     def _read(self, label: str, k1: int, k2: int) -> Fraction:
         if k1 < 0 or k2 < 0:
@@ -460,10 +448,7 @@ class _ExplicitGrid(ShiftGrid2D):
         rows = self._windows[label]
         if k2 >= len(rows) or k1 >= len(rows[0]):
             raise GridError(f"{label} index ({k1}, {k2}) outside explicit window {len(rows[0])} x {len(rows)}")
-        value = rows[k2][k1]
-        if value <= 0:
-            raise GridError(f"{label} squared weight at ({k1}, {k2}) is {value}, not positive")
-        return value
+        return rows[k2][k1]
 
     def alpha_sq(self, k1: int, k2: int) -> Fraction:
         return self._read("alpha", k1, k2)
@@ -479,19 +464,30 @@ class _ExplicitGrid(ShiftGrid2D):
 
 
 def build_explicit(alpha_rows: list[list[Fraction]], beta_rows: list[list[Fraction]]) -> ShiftGrid2D:
-    """Grid from materialized windows; rows are levels (row index is k2)."""
+    """Grid from materialized windows; rows are levels (row index is k2),
+    entries are taken as ``Fraction(v)`` and must be positive.  The identity
+    must hold wherever the windows state it: on [0,m] x [0,n] with
+    m = min(Wa - 1, Wb - 2) and n = min(Ha - 2, Hb - 1) for an alpha window
+    Wa wide and Ha high and a beta window Wb x Hb."""
     if not alpha_rows or not beta_rows:
         raise GridError("explicit grid needs nonempty alpha and beta windows")
+    windows, spec = {}, {"model": "explicit"}
     for name, rows in (("alpha", alpha_rows), ("beta", beta_rows)):
         width = len(rows[0])
         if width == 0 or any(len(r) != width for r in rows):
             raise GridError(f"explicit {name} window must be rectangular and nonempty")
-    spec = {
-        "model": "explicit",
-        "alpha_sq": [[format_rational(v) for v in row] for row in alpha_rows],
-        "beta_sq": [[format_rational(v) for v in row] for row in beta_rows],
-    }
-    return _ExplicitGrid(alpha_rows, beta_rows, spec)
+        windows[name] = [[Fraction(v) for v in row] for row in rows]
+        spec[f"{name}_sq"] = [[format_rational(v) for v in row] for row in windows[name]]
+        bad = [(k1, k2, v) for k2, row in enumerate(windows[name]) for k1, v in enumerate(row) if v <= 0]
+        if bad:
+            raise GridError("{} squared weight at ({}, {}) is {}, not positive".format(name, *bad[0]))
+    alpha, beta = windows["alpha"], windows["beta"]
+    grid = _ExplicitGrid(windows, spec)
+    m, n = min(len(alpha[0]) - 1, len(beta[0]) - 2), min(len(alpha) - 2, len(beta) - 1)
+    k = None if m < 0 or n < 0 else check_commuting(grid, m, n)
+    if k is not None:
+        raise GridError(f"explicit window breaks the commuting identity at {k}")
+    return grid
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,17 @@ from shiftlab.exactnum import decimal_string, format_rational
 from shiftlab.measures import MeasureError, _segment_integral, combine1d, delta, lebesgue, make1d
 from shiftlab.sfc import SFCError, example_family, make_params, params_from_json, sfc_backward_extension, sfc_grid
 from shiftlab.shift1d import khypo_witness, weights_from_json
+from shiftlab.shift2d import build_explicit, build_figure9
 
 F = Fraction
+
+
+def _window_of(g, width, height):
+    """The spec of g's alpha and beta weights on width x height entries, as an
+    explicit window."""
+    alpha = [[g.alpha_sq(k1, k2) for k1 in range(width)] for k2 in range(height)]
+    beta = [[g.beta_sq(k1, k2) for k1 in range(width)] for k2 in range(height)]
+    return build_explicit(alpha, beta).to_json_obj()
 
 
 def run(capsys, argv):
@@ -99,6 +108,8 @@ def specs(tmp_path):
         # the same pairs as grid specs write them, with the restricted column measure eta1
         "sfc_mid_eta1": dump("sfc_mid_eta1.json", sfc_grid(make_params(xi, eta, F(1, 2), F(12, 25))).to_json_obj()),
         "sfc_tight_eta1": dump("sfc_tight_eta1.json", sfc_grid(make_params(xi, eta, F(5, 12), F(13, 16))).to_json_obj()),
+        # figure9 at y_sq = 1/3 read off as a commuting explicit window, 8 x 7 entries
+        "explicit9": dump("explicit9.json", _window_of(build_figure9(F(1, 3)), 8, 7)),
         "badjson": str(tmp_path / "bad.json"),
         "unknown": dump("unknown.json", {"model": "weird"}),
         "dir": tmp_path,
@@ -321,7 +332,8 @@ _ONES = [["1"] * 3] * 3
     ids=["alpha-zero", "beta-negative", "alpha-small", "beta-small"],
 )
 def test_explicit_window_read_errors(tmp_path, capsys, command, mode, alpha, beta, message):
-    # the scan reaches the bad read after a passing (0, 0), in either report
+    # an entry that is not positive is refused as the window is built; on a
+    # short window the scan reaches the bad read after a passing (0, 0)
     path = tmp_path / "window.json"
     path.write_text(json.dumps({"model": "explicit", "alpha_sq": alpha, "beta_sq": beta}), encoding="utf-8")
     assert run(capsys, [command, str(path), "--window", "1", "1", *mode]) == (2, "", f"error: {message}\n")
@@ -476,6 +488,8 @@ _GOLDEN = {
     "joint sfc_mid --window 12 6 --json": (0, "ac7200bba293dd1e7de08fb216826e2fa7accc6de16a189d943d132ee86765f8"),
     "sixpoint sfc_tight --window 6 4 --json": (1, "44ad625129a820a0c1f4e61dc06087f692c0e85bc63e8ee5182524c2f19fda20"),
     "joint sfc_tight --window 12 6 --json": (1, "90dda784a058d97711f5bfa0651bb5cd97a553a1c67e7e45f6efe4fb59b442ce"),
+    "joint explicit9 --window 6 5 --json": (0, "bfa60f0e2e3b66693b15d8633e2534ddaf829cdfb2a3b65b90ea1804b8f2fe68"),
+    "sixpoint explicit9 --window 6 5 --json": (0, "fb64f36d33b0bc77fc14023790211a60dc896eb4d1720d2da73939d9e2860cab"),
     "sixpoint unknown --window 6 4 --json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "joint unknown --window 12 6 --json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "sixpoint badjson --window 6 4 --json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

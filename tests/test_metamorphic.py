@@ -61,14 +61,21 @@ _NAMED = [_window_of(grid_from_json(spec), 5, 4) for spec in _named_specs()]
 
 @st.composite
 def _window_case(draw):
-    """(alpha rows, beta rows, m, n): windows of positive entries that just
-    cover the scan of [0,m] x [0,n], drawn at random or read off a named grid."""
+    """(alpha rows, beta rows, m, n): commuting windows of positive entries
+    that just cover the scan of [0,m] x [0,n], read off a named grid or drawn
+    at random: the alphas, the beta seed column and the top beta row, which
+    the identity does not reach, with every other beta derived from it."""
     m, n = draw(st.integers(0, 5)), draw(st.integers(0, 4))
     if draw(st.booleans()):
         alpha, beta = draw(st.sampled_from(_NAMED))
         return [row[: m + 2] for row in alpha[: n + 2]], [row[: m + 2] for row in beta[: n + 2]], m, n
-    rows = st.lists(st.lists(_entry, min_size=m + 2, max_size=m + 2), min_size=n + 2, max_size=n + 2)
-    return draw(rows), draw(rows), m, n
+    row = st.lists(_entry, min_size=m + 2, max_size=m + 2)
+    alpha = draw(st.lists(row, min_size=n + 2, max_size=n + 2))
+    beta = [[draw(_entry)] for _ in range(n + 1)]
+    for k2, beta_row in enumerate(beta):
+        for k1 in range(m + 1):
+            beta_row.append(alpha[k2 + 1][k1] * beta_row[k1] / alpha[k2][k1])
+    return alpha, [*beta, draw(row)], m, n
 
 
 def _transpose(rows):

@@ -1,7 +1,9 @@
 """Two-variable weighted-shift grids and the window scans over them."""
 
+import json
 import math
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from shiftlab.cli import main
 from shiftlab.exactnum import format_rational, psd2_radical_cross
 from shiftlab.measures import combine1d, delta, lebesgue, make1d
 from shiftlab.sfc import make_params, params_from_json, sfc_grid
@@ -145,9 +148,21 @@ def test_explicit_validation():
         build_explicit([], [])
     with pytest.raises(GridError):
         build_explicit([[F(1)], [F(1), F(1)]], [[F(1)]])
-    g = build_explicit([[F(0), F(1)]], [[F(1), F(1)]])
-    with pytest.raises(GridError):
-        g.alpha_sq(0, 0)
+    # an entry that is not positive is refused when the window is built
+    with pytest.raises(GridError, match=re.escape("alpha squared weight at (0, 0) is 0, not positive")):
+        build_explicit([[F(0), F(1)]], [[F(1), F(1)]])
+    with pytest.raises(GridError, match=re.escape("beta squared weight at (1, 0) is -1/3, not positive")):
+        build_explicit([[F(1), F(1)]], [[F(1), F(-1, 3)]])
+
+
+def test_explicit_entries_are_taken_as_fractions():
+    # floats convert exactly, as make_weights converts them
+    floats = build_explicit([[0.5, 1.0], [0.25, 2]], [[0.75, 0.375], [1, 1]])
+    fractions = build_explicit([[F(1, 2), F(1)], [F(1, 4), F(2)]], [[F(3, 4), F(3, 8)], [F(1), F(1)]])
+    assert floats == fractions and type(floats.alpha_sq(0, 0)) is F
+    assert floats.to_json_obj()["alpha_sq"] == [["1/2", "1"], ["1/4", "2"]]
+    assert grid_from_json(floats.to_json_obj()) == floats
+    assert joint_hyponormal_window(floats, 0, 0) == joint_hyponormal_window(fractions, 0, 0)
 
 
 _FAMILIES = {
@@ -177,11 +192,58 @@ def test_every_stacked_read_is_positive(family):
 
 
 def test_commuting_violation_is_located():
-    g = build_explicit(
-        [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]],
-        [[F(1, 3), F(1, 2)], [F(2, 3), F(2, 3)]],
-    )
-    assert check_commuting(g, 0, 0) == (0, 0)
+    # beta(1, 0) * alpha(0, 0) = 1/4, but alpha(0, 1) * beta(0, 0) = 1/6
+    alpha, beta = [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]], [[F(1, 3), F(1, 2)], [F(2, 3), F(2, 3)]]
+    assert check_commuting(_Rows(alpha, beta), 0, 0) == (0, 0)
+    with pytest.raises(GridError, match=re.escape("explicit window breaks the commuting identity at (0, 0)")):
+        build_explicit(alpha, beta)
+
+
+class _Rows:
+    """Fake grid that reads alpha_sq and beta_sq off rows, with no check."""
+
+    def __init__(self, alpha, beta):
+        self.alpha, self.beta = alpha, beta
+
+    def alpha_sq(self, k1, k2):
+        return self.alpha[k2][k1]
+
+    def beta_sq(self, k1, k2):
+        return self.beta[k2][k1]
+
+
+@st.composite
+def _perturbed_window(draw):
+    """A built grid's alpha and beta windows, each of any size, with one
+    beta entry scaled by a factor other than 1, and whether that entry is
+    in the top row of a beta window as high as the alpha window."""
+    g = _FAMILIES[draw(st.sampled_from(sorted(set(_FAMILIES) - {"explicit"})))]()
+    wa, ha, wb, hb = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    top = draw(st.booleans())
+    if top:
+        hb = ha
+    alpha = [[g.alpha_sq(k1, k2) for k1 in range(wa)] for k2 in range(ha)]
+    beta = [[g.beta_sq(k1, k2) for k1 in range(wb)] for k2 in range(hb)]
+    j1, j2 = draw(st.integers(0, wb - 1)), hb - 1 if top else draw(st.integers(0, hb - 1))
+    beta[j2][j1] *= draw(st.sampled_from([F(2), F(1, 2), F(3, 4), F(5, 3)]))
+    return alpha, beta, (j1, j2), top
+
+
+@given(_perturbed_window())
+@settings(max_examples=150, deadline=None)
+def test_a_perturbed_beta_is_refused_where_check_commuting_finds_it(case):
+    alpha, beta, (j1, j2), top = case
+    m, n = min(len(alpha[0]) - 1, len(beta[0]) - 2), min(len(alpha) - 2, len(beta) - 1)
+    found = None if m < 0 or n < 0 else check_commuting(_Rows(alpha, beta), m, n)
+    # the entry first takes part in the identity at j - e1, as beta(k + e1), then at j
+    stated = [k for k in ((j1 - 1, j2), (j1, j2)) if 0 <= k[0] <= m and 0 <= k[1] <= n]
+    assert found == (stated[0] if stated else None)
+    if found is None:
+        assert build_explicit(alpha, beta).beta_sq(j1, j2) == beta[j2][j1]
+    else:
+        assert not top
+        with pytest.raises(GridError, match=re.escape(f"explicit window breaks the commuting identity at {found}")):
+            build_explicit(alpha, beta)
 
 
 def test_window_indices_scan_level_by_level():
@@ -305,8 +367,8 @@ def test_six_point_data_fixed_weights_match_the_fraction_reference():
 
 
 def test_six_point_kernel_reads_integers_only(monkeypatch):
-    # built grids take the commuting verdict on integer pairs, with no radical
-    # test; an explicit window still runs the radical test, on cleared integers
+    # every scan takes the commuting verdict on integer pairs, explicit windows
+    # included, and none runs the radical test
     import shiftlab.shift2d as shift2d
 
     radical, commuting = [], []
@@ -321,17 +383,19 @@ def test_six_point_kernel_reads_integers_only(monkeypatch):
     monkeypatch.setattr(shift2d, "psd2_radical_cross", spy(radical, psd2_radical_cross))
     monkeypatch.setattr(shift2d, "_commuting_verdict", spy(commuting, shift2d._commuting_verdict))
     figure9 = build_figure9(F(1, 2))
-    for g in (figure9, build_figure5(3, F(1, 4))[0]):
-        joint_hyponormal_window(g, 6, 5)
-        list(six_point_scan(g, 6, 5))
-    assert radical == [] and commuting
-    assert all(type(v) is int for args in commuting for pair in args for v in pair)
     alpha_rows = [[figure9.alpha_sq(k1, k2) for k1 in range(8)] for k2 in range(7)]
     beta_rows = [[figure9.beta_sq(k1, k2) for k1 in range(8)] for k2 in range(7)]
-    expected, calls = joint_hyponormal_window(figure9, 6, 5), len(commuting)
-    assert joint_hyponormal_window(build_explicit(alpha_rows, beta_rows), 6, 5) == expected
-    assert radical and len(commuting) == calls
-    assert all(type(v) is int for args in radical for v in args)
+    explicit = build_explicit(alpha_rows, beta_rows)
+    grids = [_FAMILIES[name]() for name in _FAMILIES if name != "explicit"]
+    for g in [figure9, *grids, explicit]:
+        calls = len(commuting)
+        joint_hyponormal_window(g, 6, 5)
+        list(six_point_scan(g, 6, 5))
+        propagation_consequences(g, 6, 5)
+        assert len(commuting) > calls
+    assert radical == []
+    assert all(type(v) is int for args in commuting for pair in args for v in pair)
+    assert joint_hyponormal_window(explicit, 6, 5) == joint_hyponormal_window(figure9, 6, 5)
 
 
 @pytest.mark.parametrize(
@@ -343,16 +407,26 @@ def test_six_point_kernel_reads_integers_only(monkeypatch):
         ((1, 2, 3), (1, F(1, 3), 2), True),
     ],
 )
-def test_grids_that_need_not_commute_keep_the_radical_verdict(alpha, beta, radical):
+def test_grids_that_need_not_commute_keep_the_radical_verdict(alpha, beta, radical, tmp_path, capsys):
     a, a_right, a_up = alpha = tuple(map(F, alpha))
     b, b_right, b_up = beta = tuple(map(F, beta))
     # the commuting form would give the opposite verdict on these weights
     assert (a * (a_right - a) * (b_up - b) >= b * (a_up - a) ** 2) is not radical
-    g = build_explicit([[a, a_right], [a_up, F(1)]], [[b, b_right], [b_up, F(1)]])
+    # the pointwise test assumes no identity, so it keeps the radical verdict
+    g = _GridAroundOrigin(alpha, beta)
     assert _six_point_by_fractions(g, (0, 0))[4] is radical
-    assert joint_hyponormal_window(g, 0, 0).verdict is radical
-    [(_, data)] = six_point_scan(g, 0, 0)
-    assert data.ok is radical and data == six_point_data(g, (0, 0))
+    assert six_point_data(g, (0, 0)).ok is radical
+    # an explicit window with these weights is refused, by the library and the CLI
+    alpha_rows, beta_rows = [[a, a_right], [a_up, F(1)]], [[b, b_right], [b_up, F(1)]]
+    message = "explicit window breaks the commuting identity at (0, 0)"
+    with pytest.raises(GridError, match=re.escape(message)):
+        build_explicit(alpha_rows, beta_rows)
+    path = tmp_path / "window.json"
+    alpha_sq, beta_sq = ([[str(v) for v in row] for row in rows] for rows in (alpha_rows, beta_rows))
+    path.write_text(json.dumps({"model": "explicit", "alpha_sq": alpha_sq, "beta_sq": beta_sq}), encoding="utf-8")
+    for command in ("joint", "sixpoint"):
+        assert main([command, str(path), "--window", "1", "1"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_six_point_terms_reduce_to_the_entries():
@@ -899,27 +973,43 @@ def _joint_outcome(joint, g, m, n):
 
 
 _positive_entry = st.fractions(min_value=F(1, 24), max_value=2, max_denominator=24)
-# about one entry in four is not positive, so windows fail their reads often
-_explicit_entry = st.one_of(_positive_entry, _positive_entry, _positive_entry, st.sampled_from([F(0), F(-1, 3)]))
 
 
 @st.composite
-def _explicit_window(draw, width, height):
-    rows = draw(st.lists(st.lists(_explicit_entry, min_size=width, max_size=width), min_size=height, max_size=height))
-    return [[str(v) for v in row] for row in rows]
+def _commuting_window(draw, wa, ha, wb, hb):
+    """An alpha window wa x ha and a beta window wb x hb that satisfy the
+    commuting identity wherever they state it: the alphas, the beta seed
+    column and the betas past the identity's reach (the top row among them)
+    are drawn, the rest derived.  One window in four then gets one entry
+    that is not positive."""
+
+    def entries(w, h):
+        return draw(st.lists(st.lists(_positive_entry, min_size=w, max_size=w), min_size=h, max_size=h))
+
+    alpha, beta = entries(wa, ha), entries(wb, hb)
+    m, n = min(wa - 1, wb - 2), min(ha - 2, hb - 1)
+    for k2 in range(n + 1):
+        for k1 in range(m + 1):
+            beta[k2][k1 + 1] = alpha[k2 + 1][k1] * beta[k2][k1] / alpha[k2][k1]
+    if draw(st.integers(0, 3)) == 3:
+        rows = draw(st.sampled_from([alpha, beta]))
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from([F(0), F(-1, 3)]))
+    return [[str(v) for v in row] for row in alpha], [[str(v) for v in row] for row in beta]
 
 
 @st.composite
 def _scan_case(draw):
-    """(grid spec, m, n): explicit windows with non-positive entries and
-    sizes that may not cover the scan, and every stacked family."""
+    """(grid spec, m, n): commuting explicit windows, some with an entry that
+    is not positive and some too small for the scan, and every stacked
+    family."""
     family = draw(st.sampled_from(["explicit", "figure9", "totally_flat", "figure5", "sfc"]))
     if family == "explicit":
         m, n = draw(st.integers(0, 5)), draw(st.integers(0, 4))
         # a window that just covers the scan, or any size
         size = st.tuples(st.integers(1, 7), st.integers(1, 6))
         (wa, ha), (wb, hb) = draw(st.one_of(st.just(((m + 2, n + 2),) * 2), st.tuples(size, size)))
-        alpha, beta = draw(_explicit_window(wa, ha)), draw(_explicit_window(wb, hb))
+        alpha, beta = draw(_commuting_window(wa, ha, wb, hb))
         return {"model": "explicit", "alpha_sq": alpha, "beta_sq": beta}, m, n
     m, n = draw(st.integers(0, 12)), draw(st.integers(0, 8))
     if family == "figure9":
@@ -956,8 +1046,14 @@ def _scan_case(draw):
 @example(({"model": "explicit", "alpha_sq": [["1", "0"]], "beta_sq": [["-1"]]}, 0, 0))
 @settings(max_examples=250, deadline=None)
 def test_row_walk_matches_the_pointwise_scan(case):
-    # each side gets a fresh grid, so no cached beta row is shared
+    # each side gets a fresh grid, so no cached beta row is shared; the only
+    # windows refused are those with an entry that is not positive
     spec, m, n = case
+    try:
+        grid_from_json(spec)
+    except GridError as exc:
+        assert spec["model"] == "explicit" and str(exc).endswith("not positive")
+        return
     for fast, slow, outcome in (
         (six_point_scan, _pointwise_scan, _scan_outcome),
         (_window_joint, _pointwise_joint, _joint_outcome),
@@ -982,7 +1078,8 @@ _flat_pair_row = {"prefix_sq": ["1/2", "1/2"], "tail": {"kind": "constant", "val
 
 @given(_scan_case())
 @example(({"model": "totally_flat", "x_row": _flat_pair_row, "y_sq": "1/8"}, 5, 3))
-@example(({"model": "explicit", "alpha_sq": [["1", "1", "2"]] * 3, "beta_sq": [["1", "2", "2"]] * 3}, 1, 1))
+# a commuting window whose equal alpha pair at (0, 0) carries unequal betas
+@example(({"model": "explicit", "alpha_sq": [["1", "1", "2"], *[["2"] * 3] * 2], "beta_sq": [["1", "2", "4"], *[["1"] * 3] * 2]}, 1, 1))
 @settings(max_examples=250, deadline=None)
 def test_propagation_audit_matches_its_fraction_loop(case):
     # where every six-point read succeeds; the audit reads what the scans read
