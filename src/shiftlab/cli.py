@@ -2,17 +2,19 @@
 
 Subcommands take JSON spec files (rationals as "num/den" strings), run the
 exact machinery, and emit either a human-readable report or, with --json, a
-deterministic JSON document: sorted keys, two-space indent, no volatile
-fields, so identical inputs give byte-identical output.  Every subcommand
-writes its document through the one canonical writer ``_canonical_json``,
-which gives the text of ``json.dumps(doc, indent=2, sort_keys=True)``
-without the pure-Python encoder that ``indent`` selects.
+deterministic JSON document with no volatile fields, the text of
+``json.dumps(doc, indent=2, sort_keys=True)``, so identical inputs give
+byte-identical output.  Every subcommand but ``sixpoint`` writes it through
+the one canonical writer ``_canonical_json``, which avoids the pure-Python
+encoder that ``indent`` selects; ``sixpoint`` writes each cell through it
+once, and each entry and its document from templates.
 
 Exit codes: 0 when the requested property holds or a verdict was computed,
 1 when a checked property fails (the witness is in the report), 2 for input
-errors (malformed JSON, bad rationals, unknown models) with the offending
-position named, 3 for an internal error (any other exception), reported as
-one ``internal error:`` line on stderr without a traceback.
+errors (malformed JSON, bad rationals, unknown models, an --out path that
+cannot be written) with the offending position named, 3 for an internal
+error (any other exception), reported as one ``internal error:`` line on
+stderr without a traceback.
 
 Decimal renderings honor SHIFTLAB_PRECISION (significant digits, default
 12, round-half-even).  They decorate reports only; no verdict ever reads
@@ -84,14 +86,11 @@ def _load_json(path: str) -> object:
         raise CliInputError(f"{path}: an integer has more than {sys.get_int_max_str_digits()} digits")
 
 
-def _canonical_json(value, newline: str = "\n", written: dict | None = None) -> str:
+def _canonical_json(value, newline: str = "\n") -> str:
     """The text of json.dumps(value, indent=2, sort_keys=True) for the types
     reports hold: dicts with str keys, lists, tuples, str, int, bool, None.
 
-    ``newline`` is the line break plus the indent of the enclosing level.
-    ``written`` maps each container already written in this document, by
-    identity and indent, to its text, so a subtree held twice (the shared
-    cells of a sixpoint report) is written once."""
+    ``newline`` is the line break plus the indent of the enclosing level."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -100,22 +99,16 @@ def _canonical_json(value, newline: str = "\n", written: dict | None = None) -> 
         return "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    written = {} if written is None else written
-    key = (id(value), newline)
-    if key in written:
-        return written[key]
     inner = newline + "  "
     if isinstance(value, dict):
-        parts = [f"{encode_basestring_ascii(k)}: {_canonical_json(v, inner, written)}" for k, v in sorted(value.items())]
+        parts = [f"{encode_basestring_ascii(k)}: {_canonical_json(v, inner)}" for k, v in sorted(value.items())]
         brackets = "{}"
     elif isinstance(value, (list, tuple)):
-        parts = [_canonical_json(v, inner, written) for v in value]
+        parts = [_canonical_json(v, inner) for v in value]
         brackets = "[]"
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    text = brackets[0] + inner + ("," + inner).join(parts) + newline + brackets[1] if parts else brackets
-    written[key] = text
-    return text
+    return brackets[0] + inner + ("," + inner).join(parts) + newline + brackets[1] if parts else brackets
 
 
 def _emit(args, doc: dict, human: list[str]) -> None:
@@ -128,8 +121,11 @@ def _emit(args, doc: dict, human: list[str]) -> None:
 
 def _write_out(out: str | None, text: str) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CliInputError(f"{out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 
@@ -228,30 +224,33 @@ def _grid_from_path(path: str) -> ShiftGrid2D:
 def _cmd_sixpoint(args) -> int:
     digits = _digits()
     m, n = _window_2d(args)
-    cells: dict[tuple[int, int], dict] = {}  # unreduced (num, den) -> its cell
 
-    def cell(term: tuple[int, int]) -> dict:
-        found = cells.get(term)
-        if found is None:
-            found = cells[term] = _rat_dec(Fraction(*term), digits)
-        return found
+    @functools.cache  # keyed by the unreduced (num, den): one rendering per distinct term
+    def cell(term: tuple[int, int]) -> str:
+        return _canonical_json(_rat_dec(Fraction(*term), digits), "\n      ")
 
-    entries = []
+    # each entry is the text _canonical_json would give it in the document
+    entries, failures = [], []
     for k, data in six_point_scan(_grid_from_path(args.spec), m, n):
         a1, a2, p, q = map(cell, data.terms)
-        entries.append({"k": list(k), "a1": a1, "a2": a2, "p": p, "q": q, "ok": data.ok})
-    failures = [tuple(entry["k"]) for entry in entries if not entry["ok"]]
+        entries.append(
+            f'{{\n      "a1": {a1},\n      "a2": {a2},\n      "k": [\n        {k[0]},\n        {k[1]}\n      ],'
+            f'\n      "ok": {"true" if data.ok else "false"},\n      "p": {p},\n      "q": {q}\n    }}'
+        )
+        if not data.ok:
+            failures.append(k)
     verdict = not failures
-    doc = {
-        "command": "sixpoint",
-        "window": [m, n],
-        "verdict": verdict,
-        "entries": entries,
-    }
-    human = [f"six-point test on [0,{m}] x [0,{n}]: {'PASS' if verdict else 'FAIL'}"]
-    if failures:
-        human.append(f"  failing indices: {', '.join(str(k) for k in failures)}")
-    _emit(args, doc, human)
+    if args.json:
+        body = ",\n    ".join(entries)
+        text = (
+            f'{{\n  "command": "sixpoint",\n  "entries": [\n    {body}\n  ],\n  "verdict": {"true" if verdict else "false"},'
+            f'\n  "window": [\n    {m},\n    {n}\n  ]\n}}\n'
+        )
+    else:
+        text = f"six-point test on [0,{m}] x [0,{n}]: {'PASS' if verdict else 'FAIL'}\n"
+        if failures:
+            text += f"  failing indices: {', '.join(str(k) for k in failures)}\n"
+    _write_out(args.out, text)
     return 0 if verdict else 1
 
 

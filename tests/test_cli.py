@@ -11,6 +11,7 @@ import tempfile
 import time
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,7 +23,7 @@ from shiftlab.exactnum import decimal_string, format_rational
 from shiftlab.measures import MeasureError, _segment_integral, combine1d, delta, lebesgue, make1d
 from shiftlab.sfc import SFCError, example_family, make_params, params_from_json, sfc_backward_extension, sfc_grid
 from shiftlab.shift1d import khypo_witness, weights_from_json
-from shiftlab.shift2d import build_explicit, build_figure9
+from shiftlab.shift2d import build_explicit, build_figure9, grid_from_json, six_point_scan
 
 F = Fraction
 
@@ -482,6 +483,7 @@ _GOLDEN = {
     "joint fig5deep --window 12 8 --json": (0, "ba848fbd55a5aa7265830ebdf2e8193be3ef37dcf34e7d72bebb9546e84e1cdf"),
     "sixpoint fig5deep --window 12 6 --json": (0, "a40d8d267db0a9785f096c70c7ea4f58fbe652ef8575b509d520430bdba798eb"),
     "sixpoint flatpair --window 6 4 --json": (1, "90bbdae38c8b41567b1366a8eb52e8ec5430d7eb3c7a344eb24d672d118b885a"),
+    "sixpoint flatpair --window 6 4": (1, "9c812ac947943fc7b22580061ef989bbe63e98ab87ac6088d283f8e11defd20b"),
     "joint flatpair --window 12 6 --json": (1, "b99332d4b771c7dcce1ec0803d3e89399702db23c2be5e299505b0b24a88e133"),
     "joint flatpair --window 12 6": (1, "200d55cb7ea0a43098414991ffb66d54bd4ec63efdc6eddb7ae716fb440c0e1d"),
     "sixpoint sfc_mid --window 6 4 --json": (0, "0f66e950a817c56cc22d95b58d8aa257b6ee4b98573aa223945deaa2cf7b9cc3"),
@@ -756,6 +758,26 @@ def test_out_file_matches_stdout(tmp_path, capsys, specs):
     code, out, _ = run(capsys, argv + ["--out", str(target)])
     assert code == 0 and out == ""
     assert target.read_text(encoding="utf-8") == stdout_text
+
+
+@pytest.mark.parametrize(
+    ("argv", "reason"),
+    [
+        (["sixpoint", "fig9", "--window", "2", "2", "--json"], "Is a directory"),
+        (["scan", "--lo", "1/3", "--hi", "1/2"], "Is a directory"),
+        (["sixpoint", "fig9", "--window", "2", "2", "--json"], "No such file or directory"),
+        (["scan", "--lo", "1/3", "--hi", "1/2"], "No such file or directory"),
+    ],
+    ids=["sixpoint-dir", "scan-dir", "sixpoint-missing-parent", "scan-missing-parent"],
+)
+def test_unwritable_out_path_is_an_input_error(tmp_path, capsys, specs, argv, reason):
+    target = tmp_path / "out"
+    target.mkdir()
+    out_path = target if reason == "Is a directory" else target / "missing" / "report.json"
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run(capsys, [specs.get(word, word) for word in argv] + ["--out", str(out_path)])
+    assert (code, out, err) == (2, "", f"error: {out_path}: {reason}\n")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def _fresh_process(argv):
@@ -1062,3 +1084,61 @@ def test_sixpoint_report_renders_each_distinct_term_once(specs, capsys, monkeypa
     terms = {term for _, data in six_point_scan(grid, 6, 4) for term in data.terms}
     assert len(rendered) == len(terms) < 4 * 7 * 5
     assert len(json.loads(out)["entries"]) == 7 * 5
+
+
+_unit_weights = st.fractions(min_value=F(1, 97), max_value=1, max_denominator=97)
+
+
+@st.composite
+def _grid_specs(draw):
+    """A figure9, equal-pair totally flat or shallow figure5 spec."""
+    kind = draw(st.sampled_from(["figure9", "totally_flat", "figure5"]))
+    if kind == "figure9":
+        spec = {"model": "figure9", "y_sq": format_rational(draw(_unit_weights))}
+    elif kind == "totally_flat":
+        # an equal pair in a row that may fall: FAIL entries with a negative
+        # a1 and terms that are zero
+        x_row = draw(st.lists(_unit_weights, min_size=4, max_size=5))
+        pair = draw(st.integers(0, len(x_row) - 2))
+        x_row[pair + 1] = x_row[pair]
+        row = {"prefix_sq": [format_rational(v) for v in x_row[:-1]], "tail": {"kind": "constant", "value": format_rational(x_row[-1])}}
+        y_sq = draw(_unit_weights)
+        spec = {"model": "totally_flat", "x_row": row, "y_sq": format_rational(y_sq)}
+    else:
+        alpha0_sq = draw(st.fractions(min_value=F(1, 97), max_value=F(96, 97), max_denominator=97))
+        spec = {"model": "figure5", "k2": draw(st.integers(1, 4)), "alpha0_sq": format_rational(alpha0_sq)}
+    return spec
+
+
+@st.composite
+def _sixpoint_cases(draw):
+    spec = draw(_grid_specs())
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        # the same weights as a commuting explicit window that covers the scan
+        spec = _window_of(grid_from_json(spec), m + 2, n + 2)
+    return spec, m, n, draw(st.sampled_from([1, 4, 12, 30]))
+
+
+@given(_sixpoint_cases())
+@settings(max_examples=150, deadline=None)
+def test_sixpoint_json_is_the_dump_of_its_reference_document(case):
+    spec, m, n, digits = case
+    entries = []
+    for k, data in six_point_scan(grid_from_json(spec), m, n):
+        entry = {"k": list(k), "ok": data.ok}
+        for name, term in zip(("a1", "a2", "p", "q"), data.terms):
+            value = F(*term)
+            entry[name] = {"rat": format_rational(value), "dec": decimal_string(value, digits)}
+        entries.append(entry)
+    verdict = all(entry["ok"] for entry in entries)
+    ref = {"command": "sixpoint", "window": [m, n], "verdict": verdict, "entries": entries}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {"SHIFTLAB_PRECISION": str(digits)}):
+        path = os.path.join(tmp, "grid.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(spec, handle)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["sixpoint", path, "--window", str(m), str(n), "--json"])
+    assert (code, err.getvalue()) == (0 if verdict else 1, "")
+    assert out.getvalue() == json.dumps(ref, indent=2, sort_keys=True) + "\n"
