@@ -167,8 +167,8 @@ def _cmd_moments(args) -> int:
         "gamma": [_rat_dec(g, digits) for g in gammas],
     }
     human = [f"moments of {args.spec} through order {up_to}:"]
-    for k, g in enumerate(gammas):
-        human.append(f"  gamma[{k:3d}] = {format_rational(g):>16s}  ~ {decimal_string(g, digits)}")
+    for k, g in enumerate(doc["gamma"]):
+        human.append(f"  gamma[{k:3d}] = {g['rat']:>16s}  ~ {g['dec']}")
     _emit(args, doc, human)
     return 0
 
@@ -229,14 +229,16 @@ def _cmd_sixpoint(args) -> int:
     def cell(term: tuple[int, int]) -> str:
         return _canonical_json(_rat_dec(Fraction(*term), digits), "\n      ")
 
-    # each entry is the text _canonical_json would give it in the document
+    # each entry is the text _canonical_json would give it in the document;
+    # the human report prints no rational, so it renders none
     entries, failures = [], []
     for k, data in six_point_scan(_grid_from_path(args.spec), m, n):
-        a1, a2, p, q = map(cell, data.terms)
-        entries.append(
-            f'{{\n      "a1": {a1},\n      "a2": {a2},\n      "k": [\n        {k[0]},\n        {k[1]}\n      ],'
-            f'\n      "ok": {"true" if data.ok else "false"},\n      "p": {p},\n      "q": {q}\n    }}'
-        )
+        if args.json:
+            a1, a2, p, q = map(cell, data.terms)
+            entries.append(
+                f'{{\n      "a1": {a1},\n      "a2": {a2},\n      "k": [\n        {k[0]},\n        {k[1]}\n      ],'
+                f'\n      "ok": {"true" if data.ok else "false"},\n      "p": {p},\n      "q": {q}\n    }}'
+            )
         if not data.ok:
             failures.append(k)
     verdict = not failures
@@ -284,12 +286,9 @@ def _cmd_classify_sfc(args) -> int:
         "h_sq": _rat_dec(result.h_sq, digits),
         "s_sq": _rat_dec(result.s_sq, digits),
     }
-    human = [
-        f"classification: {result.verdict}",
-        f"  y0_sq = {format_rational(params.y0_sq)} ~ {decimal_string(params.y0_sq, digits)}",
-        f"  h_sq  = {format_rational(result.h_sq)} ~ {decimal_string(result.h_sq, digits)}",
-        f"  s_sq  = {format_rational(result.s_sq)} ~ {decimal_string(result.s_sq, digits)}",
-    ]
+    human = [f"classification: {result.verdict}"]
+    for key in ("y0_sq", "h_sq", "s_sq"):
+        human.append(f"  {key:<5s} = {doc[key]['rat']} ~ {doc[key]['dec']}")
     _emit(args, doc, human)
     return 0
 

@@ -115,6 +115,14 @@ def parse_list_field(value: object, where: str, error: type[ValueError]) -> list
     raise error(f"{where}: expected an array, got {value!r}")
 
 
+def parse_rational_list(value: object, where: str, error: type[ValueError]) -> list[Fraction]:
+    """Read a JSON array of rationals; entry i is named ``where[i]`` in the
+    caller's ``error``, and a value that is not an array is refused as in
+    `parse_list_field`."""
+    entries = parse_list_field(value, where, error)
+    return [parse_rational_field(v, f"{where}[{i}]", error) for i, v in enumerate(entries)]
+
+
 def format_rational(q: Fraction) -> str:
     """Render a Fraction as "num/den", omitting "/1" for integers; past
     Python's int-to-string digit limit, an ExactInputError.

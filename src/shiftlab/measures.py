@@ -39,6 +39,7 @@ from .exactnum import (
     format_rational,
     parse_list_field,
     parse_rational_field,
+    parse_rational_list,
     poly_add,
     poly_nonneg_on_interval,
     poly_scale,
@@ -397,16 +398,13 @@ def measure1d_from_json(obj: object, where: str = "measure") -> Measure1D:
         at = f"{where}.atoms[{i}]"
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise MeasureError(f"{at}: expected [point, mass]")
-        atoms.append(tuple(parse_rational_field(v, f"{at}[{j}]", MeasureError) for j, v in enumerate(pair)))
+        atoms.append(tuple(parse_rational_list(pair, at, MeasureError)))
     segments = []
     for i, seg in enumerate(parse_list_field(obj.get("segments", []), f"{where}.segments", MeasureError)):
         if not isinstance(seg, dict) or not {"coeffs", "lo", "hi"} <= set(seg):
             raise MeasureError(f"{where}.segments[{i}]: expected coeffs/lo/hi")
         at = f"{where}.segments[{i}]"
-        coeffs = [
-            parse_rational_field(c, f"{at}.coeffs[{j}]", MeasureError)
-            for j, c in enumerate(parse_list_field(seg["coeffs"], f"{at}.coeffs", MeasureError))
-        ]
+        coeffs = parse_rational_list(seg["coeffs"], f"{at}.coeffs", MeasureError)
         segments.append((coeffs, *(parse_rational_field(seg[k], f"{at}.{k}", MeasureError) for k in ("lo", "hi"))))
     return make1d(atoms, segments)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .exactnum import Matrix, _psd_cleared, format_rational, parse_list_field, parse_rational_field, psd_check
+from .exactnum import Matrix, _psd_cleared, format_rational, parse_rational_field, parse_rational_list, psd_check
 from .measures import Measure1D, MeasureError
 
 
@@ -162,10 +162,7 @@ def weights_from_json(obj: object, where: str = "weights") -> WeightSeq:
         value = raw_value
     else:
         value = parse_rational_field(raw_value, f"{where}.tail.value", ShiftError)
-    prefix = [
-        parse_rational_field(w, f"{where}.prefix_sq[{i}]", ShiftError)
-        for i, w in enumerate(parse_list_field(obj.get("prefix_sq", []), f"{where}.prefix_sq", ShiftError))
-    ]
+    prefix = parse_rational_list(obj.get("prefix_sq", []), f"{where}.prefix_sq", ShiftError)
     return make_weights(prefix, WeightTail(kind, value))
 
 

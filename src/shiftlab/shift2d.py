@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .exactnum import format_rational, parse_list_field, parse_rational_field, psd2_radical_cross
+from .exactnum import format_rational, parse_rational_field, parse_rational_list, psd2_radical_cross
 from .measures import backward_ext_2var, density, make1d, make2d
 from .shift1d import WeightSeq, alpha_family, bergman_like, flat_shift, unilateral, weights_from_json
 
@@ -368,31 +368,6 @@ def joint_hyponormal_window(g: ShiftGrid2D, m: int, n: int) -> WindowReport:
 
 
 @dataclass(frozen=True)
-class FlatnessFlags:
-    horizontal: bool
-    vertical: bool
-    flat: bool
-    symmetric: bool
-
-
-def flatness(g: ShiftGrid2D, m: int, n: int) -> FlatnessFlags:
-    """Constancy of interior weights on [1,m] x [1,n] in each direction;
-    symmetric additionally requires the two interior constants to agree."""
-    if m < 2 or n < 2:
-        raise GridError(f"flatness window must reach (2, 2), got ({m}, {n})")
-    a11 = g.alpha_sq(1, 1)
-    b11 = g.beta_sq(1, 1)
-    horizontal = all(
-        g.alpha_sq(k1, k2) == a11 for k1 in range(1, m + 1) for k2 in range(1, n + 1)
-    )
-    vertical = all(
-        g.beta_sq(k1, k2) == b11 for k1 in range(1, m + 1) for k2 in range(1, n + 1)
-    )
-    flat = horizontal and vertical
-    return FlatnessFlags(horizontal, vertical, flat, flat and a11 == b11)
-
-
-@dataclass(frozen=True)
 class PropagationEntry:
     k: Index
     beta_here: Fraction
@@ -575,15 +550,6 @@ def next_chain_param(p: int, q: int) -> int:
     return r
 
 
-def bergman_chain(k2: int) -> list[int]:
-    """Top-down Bergman-like parameters for k2 boundary levels: 3, 18, then
-    each further level from the deterministic search."""
-    chain = [3, 18]
-    while len(chain) < k2:
-        chain.append(next_chain_param(chain[-2], chain[-1]))
-    return chain[:k2]
-
-
 def _pair_seed_bound(ell_low: int, ell_up: int, upper_seed: Fraction) -> Fraction:
     """Bound on the lower beta seed for two stacked Bergman-like levels:
     the (0, n) six-point there has rational sqrt(P*Q) and reduces to
@@ -679,7 +645,8 @@ def _digit_bound(limit: int) -> int:
 
 
 def _figure5_seeds(k2: int, alpha0_sq: Fraction, beta0_sq: Fraction | None) -> tuple[list[int], list[Fraction]]:
-    """The levels' parameters ``bergman_chain(k2)`` and their column seeds,
+    """The levels' Bergman-like parameters, top down (3, 18, then each next
+    one from `next_chain_param`, k2 in all), and their column seeds,
     bottom to top, indices 0..k2: seed k2 is pinned to 16/alpha0_sq and,
     for k2 >= 2, seed k2-1 to 1/alpha0_sq; each lower one is the largest
     power of two under the `_seed_bounds` rows of its level, unless an
@@ -799,13 +766,7 @@ def grid_from_json(obj: object, where: str = "grid") -> ShiftGrid2D:
                 rows = list(enumerate(obj.get(name, [])))
             except TypeError as exc:
                 raise GridError(f"{where}: malformed explicit window") from exc
-            return [
-                [
-                    parse_rational_field(v, f"{where}.{name}[{i}][{j}]", GridError)
-                    for j, v in enumerate(parse_list_field(row, f"{where}.{name}[{i}]", GridError))
-                ]
-                for i, row in rows
-            ]
+            return [parse_rational_list(row, f"{where}.{name}[{i}]", GridError) for i, row in rows]
 
         return build_explicit(window("alpha_sq"), window("beta_sq"))
     if model == "figure9":

@@ -13,10 +13,11 @@ from fractions import Fraction
 from typing import Callable
 
 from .exactnum import matrix_det
-from .measures import Measure1D, combine1d, delta, density, extremal, lebesgue, make1d, make2d
+from .measures import extremal, lebesgue, make1d
 from .sfc import (
     classify,
     example_family,
+    example_family_measures,
     h_threshold_sq,
     s_threshold_sq,
     scan_csv_text,
@@ -45,6 +46,7 @@ from .shift2d import (
     build_totallyflat,
     figure5_f,
     figure5_g,
+    figure9_standard_measures,
     figure9_subnormality,
     gamma2,
     gamma2_up_first,
@@ -54,10 +56,6 @@ from .shift2d import (
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
-
-
-def _three_atoms() -> Measure1D:
-    return make1d([(Fraction(0), THIRD), (HALF, THIRD), (Fraction(1), THIRD)])
 
 
 def check_hankel2_closed_form_det() -> bool:
@@ -95,19 +93,12 @@ def check_berger_two_atom_family() -> bool:
 
 
 def check_berger_three_atom_family() -> bool:
-    return verify_berger(alpha_family(), _three_atoms(), 30)
+    return verify_berger(alpha_family(), figure9_standard_measures()[1], 30)
 
 
 def check_berger_beta_r_family() -> bool:
     for r_sq in (Fraction(1, 4), HALF, Fraction(1)):
-        mu = combine1d(
-            [
-                (1 - r_sq, delta(Fraction(0))),
-                (r_sq / 2, lebesgue()),
-                (r_sq / 2, delta(Fraction(1))),
-            ]
-        )
-        if not verify_berger(beta_r_family(r_sq), mu, 30):
+        if not verify_berger(beta_r_family(r_sq), example_family_measures(r_sq)[1], 30):
             return False
         gammas = beta_r_family(r_sq).gamma(30)
         for n in range(1, 31):
@@ -280,9 +271,7 @@ def check_path_independence() -> bool:
         return False
     if any(entry.six_point_ok for entry in bad_report.violations):
         return False
-    s_part = make1d([(Fraction(0), Fraction(1)), (Fraction(1), Fraction(1))])
-    mu = make2d([(Fraction(1), s_part, density([Fraction(0), Fraction(1)]))])
-    return extremal(mu).total_mass() == 1
+    return extremal(figure9_standard_measures()[0]).total_mass() == 1
 
 
 def check_scan_csv_shape() -> bool:

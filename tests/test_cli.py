@@ -875,10 +875,14 @@ def test_column_contraction_breach_through_the_cli(tmp_path, capsys):
     ids=["moments", "sixpoint"],
 )
 def test_unprintable_results_are_input_errors(tmp_path, capsys, command, spec, window, mode):
-    # a rational of the report passes Python's int-to-string digit limit
+    # a rational of the report passes Python's int-to-string digit limit;
+    # the human sixpoint report prints no rational, so it stands
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
     code, out, err = run(capsys, [command, str(path), "--window", *window, *mode])
+    if command == "sixpoint" and not mode:
+        assert (code, out, err) == (0, "six-point test on [0,30] x [0,20]: PASS\n", "")
+        return
     assert code == 2 and out == ""
     assert err == f"error: a result has more than {sys.get_int_max_str_digits()} digits: too long to print\n"
 
@@ -1077,6 +1081,9 @@ def test_sixpoint_report_renders_each_distinct_term_once(specs, capsys, monkeypa
         return decimal_string(value, digits)
 
     monkeypatch.setattr(cli, "decimal_string", counting)
+    # the human report prints no rational, so it renders none
+    code, _, _ = run(capsys, ["sixpoint", specs["fig9"], "--window", "6", "4"])
+    assert code == 0 and rendered == []
     code, out, _ = run(capsys, ["sixpoint", specs["fig9"], "--window", "6", "4", "--json"])
     assert code == 0
     with open(specs["fig9"], encoding="utf-8") as handle:

@@ -23,6 +23,7 @@ from shiftlab.exactnum import (
     matrix_det,
     parse_rational,
     parse_rational_field,
+    parse_rational_list,
     poly_derivative,
     poly_divmod,
     poly_eval,
@@ -131,6 +132,18 @@ def test_parse_rational_field_refuses_booleans_and_raises_the_callers_error():
             parse_rational_field(value, "doc.x", _FieldError)
     with pytest.raises(_FieldError, match="^doc.x: malformed rational"):
         parse_rational_field("1/0", "doc.x", _FieldError)
+
+
+def test_parse_rational_list_names_each_entry():
+    assert parse_rational_list([3, "1/2"], "x", _FieldError) == [3, Fraction(1, 2)]
+    assert parse_rational_list((), "x", _FieldError) == []
+    with pytest.raises(_FieldError, match=r"^doc\.x\[2\]: malformed rational: '1/0'$"):
+        parse_rational_list(["1", "2", "1/0"], "doc.x", _FieldError)
+    with pytest.raises(_FieldError, match=r"^doc\.x\[0\]: expected a rational string, got True$"):
+        parse_rational_list([True], "doc.x", _FieldError)
+    for value in ("1/2", {"0": "1"}, 1, None):
+        with pytest.raises(_FieldError, match=r"^doc\.x: expected an array"):
+            parse_rational_list(value, "doc.x", _FieldError)
 
 
 def test_format_round_trips():

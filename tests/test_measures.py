@@ -372,6 +372,21 @@ def test_measure_json_rejects_shape_errors():
         measure1d_from_json({"atoms": [["1/2"]], "segments": []})
 
 
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        (["1", "x"], "spec.eta.segments[0].coeffs[1]: malformed rational: 'x'"),
+        (["1", None], "spec.eta.segments[0].coeffs[1]: expected a rational string, got None"),
+        ("1", "spec.eta.segments[0].coeffs: expected an array, got '1'"),
+    ],
+)
+def test_measure_json_names_the_malformed_coefficient(coeffs, message):
+    obj = {"atoms": [], "segments": [{"coeffs": coeffs, "lo": "0", "hi": "1"}]}
+    with pytest.raises(MeasureError) as err:
+        measure1d_from_json(obj, "spec.eta")
+    assert str(err.value) == message
+
+
 @given(
     masses=st.lists(st.fractions(min_value=0, max_value=2), min_size=1, max_size=4),
 )

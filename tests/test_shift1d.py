@@ -449,6 +449,21 @@ def test_weights_json_errors():
         weights_from_json({"tail": {"kind": "constant"}})
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("1/x", "doc.w.prefix_sq[1]: malformed rational: '1/x'"),
+        (True, "doc.w.prefix_sq[1]: expected a rational string, got True"),
+        (0.5, "doc.w.prefix_sq[1]: expected a rational string, got 0.5"),
+    ],
+)
+def test_weights_json_names_the_malformed_prefix_entry(entry, message):
+    obj = {"prefix_sq": ["1/2", entry], "tail": {"kind": "constant", "value": "1"}}
+    with pytest.raises(ShiftError) as err:
+        weights_from_json(obj, "doc.w")
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # properties
 

@@ -26,7 +26,6 @@ from shiftlab.shift2d import (
     _figure5_seeds,
     _largest_pow2_at_most,
     _seed_bounds,
-    bergman_chain,
     build_explicit,
     build_figure5,
     build_figure9,
@@ -35,7 +34,6 @@ from shiftlab.shift2d import (
     figure5_f,
     figure5_g,
     figure9_subnormality,
-    flatness,
     gamma2,
     gamma2_up_first,
     grid_from_json,
@@ -118,9 +116,11 @@ def test_figure9_extension_reproduces_grid_moments():
 
 
 def test_figure9_flatness():
-    flags = flatness(build_figure9(F(1, 3)), 5, 5)
-    assert flags.horizontal and not flags.vertical
-    assert not flags.flat and not flags.symmetric
+    # horizontally flat only: on [1,5]^2 every alpha is alpha(1,1), not every beta is beta(1,1)
+    g = build_figure9(F(1, 3))
+    inner = [(k1, k2) for k1 in range(1, 6) for k2 in range(1, 6)]
+    assert all(g.alpha_sq(*k) == g.alpha_sq(1, 1) for k in inner)
+    assert not all(g.beta_sq(*k) == g.beta_sq(1, 1) for k in inner)
 
 
 def test_figure9_validation():
@@ -496,7 +496,7 @@ def test_totallyflat_validation():
 
 
 def test_chain_parameters():
-    assert bergman_chain(4) == [3, 18, 1103, 625118]
+    assert _figure5_seeds(4, F(1, 4), None)[0] == [3, 18, 1103, 625118]
     assert next_chain_param(3, 18) == 1103
     assert next_chain_param(18, 1103) == 625118
     with pytest.raises(GridError):
@@ -674,7 +674,7 @@ def test_next_chain_param_matches_the_fraction_formula():
     assert len(chain) == 96
     for i in range(2, len(chain)):
         assert chain[i] == _next_chain_param_by_fractions(chain[i - 2], chain[i - 1])
-    assert bergman_chain(96) == chain
+    assert _figure5_seeds(95, F(1, 4), F(1, 1024))[0] == chain[:95]
 
 
 def test_display_bound_is_the_bergman_weight_reading():
@@ -784,14 +784,10 @@ def test_sfc_grid_weights():
 
 
 def test_sfc_grid_is_symmetrically_flat():
+    # flat in both directions with one constant: every weight on [1,5]^2 is 1
     g = sfc_point()
-    flags = flatness(g, 5, 5)
-    assert flags.horizontal and flags.vertical and flags.flat and flags.symmetric
-
-
-def test_flatness_window_validation():
-    with pytest.raises(GridError):
-        flatness(build_figure9(F(1, 3)), 1, 5)
+    inner = [(k1, k2) for k1 in range(1, 6) for k2 in range(1, 6)]
+    assert all(g.alpha_sq(*k) == 1 and g.beta_sq(*k) == 1 for k in inner)
 
 
 # ---------------------------------------------------------------------------
@@ -1153,3 +1149,18 @@ def test_grid_json_errors():
         grid_from_json({"model": "figure5", "k2": True, "alpha0_sq": "1/4"})
     with pytest.raises(GridError, match="y_sq"):
         grid_from_json({"model": "figure9", "y_sq": True})
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([["1"], ["1/0"]], "doc.grid.alpha_sq[1][0]: malformed rational: '1/0'"),
+        ([["1"], [False]], "doc.grid.alpha_sq[1][0]: expected a rational string, got False"),
+        ([["1"], "1"], "doc.grid.alpha_sq[1]: expected an array, got '1'"),
+    ],
+)
+def test_explicit_grid_json_names_the_malformed_entry(rows, message):
+    spec = {"model": "explicit", "alpha_sq": rows, "beta_sq": [["1"], ["1"]]}
+    with pytest.raises(GridError) as err:
+        grid_from_json(spec, "doc.grid")
+    assert str(err.value) == message
