@@ -36,7 +36,6 @@ from typing import Iterable, Iterator, Union
 
 from .exactnum import (
     Poly,
-    format_rational,
     parse_list_field,
     parse_rational_field,
     parse_rational_list,
@@ -170,19 +169,6 @@ class Measure1D:
         atoms = tuple((x, m * x**h) for x, m in self.atoms if x != 0)
         segments = tuple(Segment(tuple(poly_shift_up(list(s.coeffs), h)), s.lo, s.hi) for s in self.segments)
         return Measure1D(atoms, segments).scale(1 / gamma_h)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "atoms": [[format_rational(x), format_rational(m)] for x, m in self.atoms],
-            "segments": [
-                {
-                    "coeffs": [format_rational(c) for c in seg.coeffs],
-                    "lo": format_rational(seg.lo),
-                    "hi": format_rational(seg.hi),
-                }
-                for seg in self.segments
-            ],
-        }
 
 
 def _moments(atoms, segments) -> Iterator[Fraction]:

@@ -226,17 +226,9 @@ def sfc_grid(p: SFCParams) -> ShiftGrid2D:
     `make_weights` since a_sq > 0 and each m_k > 0; the column seeds are
     y0_sq, then the shift of eta1."""
     row0, column, ones = _MomentShift(p.xi), _MomentShift(p.eta1), WeightTail("constant", Fraction(1))
-    spec = {
-        "model": "sfc",
-        "xi": p.xi.to_json_obj(),
-        "eta1": p.eta1.to_json_obj(),
-        "a_sq": format_rational(p.a_sq),
-        "y0_sq": format_rational(p.y0_sq),
-    }
     return ShiftGrid2D(
         lambda k2: row0 if k2 == 0 else WeightSeq((p.a_sq / p.eta1.moment(k2 - 1),), ones),
         lambda k2: p.y0_sq if k2 == 0 else column.weight_sq(k2 - 1),
-        spec,
     )
 
 
@@ -326,7 +318,8 @@ def scan_csv_text(rows: list[ScanRow], digits: int) -> str:
 
 
 def params_from_json(obj: object, where: str = "params") -> SFCParams:
-    """Params from a spec with `eta`, or with `eta1` as grid specs store it."""
+    """Params from a spec with the column measure `eta`, or with its
+    restriction `eta1` in its place."""
     if not isinstance(obj, dict):
         raise SFCError(f"{where}: expected an object")
     eta1 = None

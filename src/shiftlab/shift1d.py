@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .exactnum import Matrix, _psd_cleared, format_rational, parse_rational_field, parse_rational_list, psd_check
+from .exactnum import Matrix, _psd_cleared, parse_rational_field, parse_rational_list, psd_check
 from .measures import Measure1D, MeasureError
 
 
@@ -87,16 +87,6 @@ class WeightSeq:
         for k in range(up_to):
             gammas.append(gammas[-1] * self.weight_sq(k))
         return gammas
-
-    def to_json_obj(self) -> dict:
-        tail: dict[str, object] = {"kind": self.tail.kind}
-        value = self.tail.value
-        if value is not None:
-            tail["value"] = int(value) if _TAIL_RULES[self.tail.kind].value == "integer" else format_rational(value)
-        return {
-            "prefix_sq": [format_rational(w) for w in self.prefix_sq],
-            "tail": tail,
-        }
 
 
 def make_weights(prefix_sq=(), tail: WeightTail | None = None) -> WeightSeq:

@@ -64,10 +64,9 @@ class ShiftGrid2D:
     its seed all along without reading a weight.  Reads are not checked for
     positivity: every builder validates the levels and seeds it stacks."""
 
-    def __init__(self, level: Callable[[int], WeightSeq], seed: Callable[[int], Fraction], spec: dict):
+    def __init__(self, level: Callable[[int], WeightSeq], seed: Callable[[int], Fraction]):
         self._level = functools.cache(level)
         self._seed = seed
-        self._spec = spec
         self._alphas: dict[int, list[_Pair]] = {}
         self._betas: dict[int, list[_Pair]] = {}
         self._flat: set[int] = set()
@@ -124,19 +123,6 @@ class ShiftGrid2D:
             g3, g4 = math.gcd(n, hn), math.gcd(hd, d)
             row.append(((n // g3) * (hd // g4), (d // g4) * (hn // g3)))
         return row[k1]
-
-    @property
-    def model(self) -> str:
-        return self._spec["model"]
-
-    def to_json_obj(self) -> dict:
-        return self._spec
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ShiftGrid2D) and self._spec == other._spec
-
-    def __repr__(self) -> str:
-        return f"ShiftGrid2D(model={self.model!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +399,7 @@ def propagation_consequences(g: ShiftGrid2D, m: int, n: int) -> PropagationRepor
 class _ExplicitGrid(ShiftGrid2D):
     """Materialized windows, betas given rather than derived from seeds."""
 
-    def __init__(self, windows: dict[str, list[list[Fraction]]], spec: dict):
-        self._spec = spec
+    def __init__(self, windows: dict[str, list[list[Fraction]]]):
         self._windows = windows
 
     def _read(self, label: str, k1: int, k2: int) -> Fraction:
@@ -446,18 +431,17 @@ def build_explicit(alpha_rows: list[list[Fraction]], beta_rows: list[list[Fracti
     Wa wide and Ha high and a beta window Wb x Hb."""
     if not alpha_rows or not beta_rows:
         raise GridError("explicit grid needs nonempty alpha and beta windows")
-    windows, spec = {}, {"model": "explicit"}
+    windows = {}
     for name, rows in (("alpha", alpha_rows), ("beta", beta_rows)):
         width = len(rows[0])
         if width == 0 or any(len(r) != width for r in rows):
             raise GridError(f"explicit {name} window must be rectangular and nonempty")
         windows[name] = [[Fraction(v) for v in row] for row in rows]
-        spec[f"{name}_sq"] = [[format_rational(v) for v in row] for row in windows[name]]
         bad = [(k1, k2, v) for k2, row in enumerate(windows[name]) for k1, v in enumerate(row) if v <= 0]
         if bad:
             raise GridError("{} squared weight at ({}, {}) is {}, not positive".format(name, *bad[0]))
     alpha, beta = windows["alpha"], windows["beta"]
-    grid = _ExplicitGrid(windows, spec)
+    grid = _ExplicitGrid(windows)
     m, n = min(len(alpha[0]) - 1, len(beta[0]) - 2), min(len(alpha) - 2, len(beta) - 1)
     k = None if m < 0 or n < 0 else check_commuting(grid, m, n)
     if k is not None:
@@ -476,28 +460,22 @@ def build_figure9(y_sq: Fraction) -> ShiftGrid2D:
     if not 0 < y_sq <= 1:
         raise GridError(f"need 0 < y_sq <= 1, got {y_sq}")
     row0, top = alpha_family(), flat_shift(Fraction(1, 2))
-    spec = {"model": "figure9", "y_sq": format_rational(y_sq)}
     return ShiftGrid2D(
         lambda k2: row0 if k2 == 0 else top,
         lambda k2: y_sq if k2 == 0 else Fraction(k2 + 1, k2 + 2),
-        spec,
     )
 
 
 def figure9_standard_measures() -> tuple:
     """The representing measure of the core (an atom pair times t dt) and the
-    three-atom level-0 measure used by the backward-extension calculation."""
+    three-atom level-0 measure used by the backward-extension calculation,
+    the level measure of the SFC example family."""
+    from .sfc import example_family_measures
+
     s_part = make1d([(Fraction(0), Fraction(1)), (Fraction(1), Fraction(1))])
     t_part = density([Fraction(0), Fraction(1)])
     mu_m = make2d([(Fraction(1), s_part, t_part)])
-    xi = make1d(
-        [
-            (Fraction(0), Fraction(1, 3)),
-            (Fraction(1, 2), Fraction(1, 3)),
-            (Fraction(1), Fraction(1, 3)),
-        ]
-    )
-    return mu_m, xi
+    return mu_m, example_family_measures(Fraction(1))[0]
 
 
 def figure9_subnormality(y_sq: Fraction):
@@ -519,11 +497,9 @@ def build_totallyflat(x_row: WeightSeq, y_sq: Fraction) -> ShiftGrid2D:
     if x_row.sup_weight_sq() > 1:
         raise GridError("x row must be bounded by 1")
     top = unilateral()
-    spec = {"model": "totally_flat", "x_row": x_row.to_json_obj(), "y_sq": format_rational(y_sq)}
     return ShiftGrid2D(
         lambda k2: x_row if k2 == 0 else top,
         lambda k2: y_sq if k2 == 0 else Fraction(1),
-        spec,
     )
 
 
@@ -721,14 +697,7 @@ def _figure5_grid(
     chain, seeds = _figure5_seeds(k2, alpha0_sq, beta0_sq)
     # bottom to top; index k2 is the flat top, repeated above
     levels = [bergman_like(ell) for ell in reversed(chain)] + [flat_shift(alpha0_sq)]
-    spec: dict = {
-        "model": "figure5",
-        "k2": k2,
-        "alpha0_sq": format_rational(alpha0_sq),
-        "beta0_sq": format_rational(seeds[0]),
-    }
-    grid = ShiftGrid2D(lambda n: levels[min(n, k2)], lambda n: seeds[min(n, k2)], spec)
-    return grid, chain, seeds
+    return ShiftGrid2D(lambda n: levels[min(n, k2)], lambda n: seeds[min(n, k2)]), chain, seeds
 
 
 def _figure5_report(k2: int, alpha0_sq: Fraction, seeds: list[Fraction], chain: list[int]) -> WindowReport:

@@ -271,7 +271,11 @@ def check_path_independence() -> bool:
         return False
     if any(entry.six_point_ok for entry in bad_report.violations):
         return False
-    return extremal(figure9_standard_measures()[0]).total_mass() == 1
+    # the extremal of (1/2)(delta_0 + delta_1) x 2t dt is (1/2)(delta_0 + delta_1) x dt
+    core = extremal(figure9_standard_measures()[0])
+    return all(
+        core.moment(j, k) == (Fraction(1) if j == 0 else HALF) / (k + 1) for j in range(6) for k in range(6)
+    )
 
 
 def check_scan_csv_shape() -> bool:

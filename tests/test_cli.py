@@ -23,7 +23,8 @@ from shiftlab.exactnum import decimal_string, format_rational
 from shiftlab.measures import MeasureError, _segment_integral, combine1d, delta, lebesgue, make1d
 from shiftlab.sfc import SFCError, example_family, make_params, params_from_json, sfc_backward_extension, sfc_grid
 from shiftlab.shift1d import khypo_witness, weights_from_json
-from shiftlab.shift2d import build_explicit, build_figure9, grid_from_json, six_point_scan
+from shiftlab.shift2d import build_figure9, grid_from_json, six_point_scan
+from specs import measure_json, sfc_grid_json
 
 F = Fraction
 
@@ -31,9 +32,9 @@ F = Fraction
 def _window_of(g, width, height):
     """The spec of g's alpha and beta weights on width x height entries, as an
     explicit window."""
-    alpha = [[g.alpha_sq(k1, k2) for k1 in range(width)] for k2 in range(height)]
-    beta = [[g.beta_sq(k1, k2) for k1 in range(width)] for k2 in range(height)]
-    return build_explicit(alpha, beta).to_json_obj()
+    alpha = [[format_rational(g.alpha_sq(k1, k2)) for k1 in range(width)] for k2 in range(height)]
+    beta = [[format_rational(g.beta_sq(k1, k2)) for k1 in range(width)] for k2 in range(height)]
+    return {"model": "explicit", "alpha_sq": alpha, "beta_sq": beta}
 
 
 def run(capsys, argv):
@@ -90,8 +91,8 @@ def specs(tmp_path):
             "sfc_mid.json",
             {
                 "model": "sfc",
-                "xi": xi.to_json_obj(),
-                "eta": eta.to_json_obj(),
+                "xi": measure_json(xi),
+                "eta": measure_json(eta),
                 "a_sq": "1/2",
                 "y0_sq": "12/25",
             },
@@ -100,15 +101,15 @@ def specs(tmp_path):
             "sfc_tight.json",
             {
                 "model": "sfc",
-                "xi": xi.to_json_obj(),
-                "eta": eta.to_json_obj(),
+                "xi": measure_json(xi),
+                "eta": measure_json(eta),
                 "a_sq": "5/12",
                 "y0_sq": "13/16",
             },
         ),
-        # the same pairs as grid specs write them, with the restricted column measure eta1
-        "sfc_mid_eta1": dump("sfc_mid_eta1.json", sfc_grid(make_params(xi, eta, F(1, 2), F(12, 25))).to_json_obj()),
-        "sfc_tight_eta1": dump("sfc_tight_eta1.json", sfc_grid(make_params(xi, eta, F(5, 12), F(13, 16))).to_json_obj()),
+        # the same pairs with the restricted column measure eta1 in place of eta
+        "sfc_mid_eta1": dump("sfc_mid_eta1.json", sfc_grid_json(make_params(xi, eta, F(1, 2), F(12, 25)))),
+        "sfc_tight_eta1": dump("sfc_tight_eta1.json", sfc_grid_json(make_params(xi, eta, F(5, 12), F(13, 16)))),
         # figure9 at y_sq = 1/3 read off as a commuting explicit window, 8 x 7 entries
         "explicit9": dump("explicit9.json", _window_of(build_figure9(F(1, 3)), 8, 7)),
         "badjson": str(tmp_path / "bad.json"),
@@ -377,7 +378,7 @@ def test_classify_sfc_at_the_unit_column(tmp_path, capsys):
     spread = combine1d([(F(1, 2), lebesgue()), (F(1, 4), delta(F(0))), (F(1, 4), delta(F(1)))])
     for xi in (three_atoms, two_atoms, spread):
         for y0_sq in ("1/10", "1/4", "1/3", "1/2", "1"):
-            spec = {"xi": xi.to_json_obj(), "eta": delta(F(1)).to_json_obj(), "a_sq": "1", "y0_sq": y0_sq}
+            spec = {"xi": measure_json(xi), "eta": measure_json(delta(F(1))), "a_sq": "1", "y0_sq": y0_sq}
             path.write_text(json.dumps(spec), encoding="utf-8")
             code, out, err = run(capsys, ["classify-sfc", str(path), "--json"])
             assert (code, err) == (0, "")
@@ -748,7 +749,12 @@ def test_sfc_grid_spec_gives_back_its_params(xi, eta, a_sq, y0_sq):
         p = params_from_json(spec)
     except (MeasureError, SFCError):
         assume(False)
-    assert params_from_json(json.loads(json.dumps(sfc_grid(p).to_json_obj()))) == p
+    grid_spec = json.loads(json.dumps(sfc_grid_json(p)))
+    assert params_from_json(grid_spec) == p
+    grid, built = grid_from_json(grid_spec), sfc_grid(p)
+    for k2 in range(4):
+        for k1 in range(4):
+            assert (grid.alpha_sq(k1, k2), grid.beta_sq(k1, k2)) == (built.alpha_sq(k1, k2), built.beta_sq(k1, k2))
 
 
 def test_out_file_matches_stdout(tmp_path, capsys, specs):
@@ -840,7 +846,7 @@ def test_library_and_cli_agree_on_sfc(capsys, specs):
 )
 def test_restricted_column_measure_charging_zero_is_bad_input(tmp_path, capsys, eta1):
     xi = make1d([(F(0), F(1, 3)), (F(1, 2), F(1, 3)), (F(1), F(1, 3))])
-    spec = {"model": "sfc", "xi": xi.to_json_obj(), "eta1": eta1, "a_sq": "1/2", "y0_sq": "1/3"}
+    spec = {"model": "sfc", "xi": measure_json(xi), "eta1": eta1, "a_sq": "1/2", "y0_sq": "1/3"}
     path = tmp_path / "eta1.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
     for argv in (["joint", str(path), "--window", "3", "3"], ["classify-sfc", str(path)]):
@@ -854,7 +860,7 @@ def test_column_contraction_breach_through_the_cli(tmp_path, capsys):
     # to carry a_sq = 2/5, so the pair is not hyponormal at any y0_sq
     xi = make1d([(F(0), F(1, 3)), (F(1, 2), F(1, 3)), (F(1), F(1, 3))])
     eta = combine1d([(F(1, 2), delta(F(0))), (F(1, 2), lebesgue())])
-    spec = {"model": "sfc", "xi": xi.to_json_obj(), "eta": eta.to_json_obj(), "a_sq": "2/5", "y0_sq": "1/100"}
+    spec = {"model": "sfc", "xi": measure_json(xi), "eta": measure_json(eta), "a_sq": "2/5", "y0_sq": "1/100"}
     path = tmp_path / "breach.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
     code, out, _ = run(capsys, ["classify-sfc", str(path), "--json"])
@@ -883,6 +889,35 @@ def test_unprintable_results_are_input_errors(tmp_path, capsys, command, spec, w
     if command == "sixpoint" and not mode:
         assert (code, out, err) == (0, "six-point test on [0,30] x [0,20]: PASS\n", "")
         return
+    assert code == 2 and out == ""
+    assert err == f"error: a result has more than {sys.get_int_max_str_digits()} digits: too long to print\n"
+
+
+def _grids_past_the_digit_limit():
+    """Specs whose fields print but whose grids hold rationals past the digit
+    limit: an sfc pair whose column measure restricts to an eta1 of twice the
+    digits, and an explicit window whose entries are all 1/N + 1/M."""
+    digits = sys.get_int_max_str_digits() // 2 + 50
+    n, m = 10**digits + 7, 10**digits + 9
+    xi = {"atoms": [["0", "1/3"], ["1/2", "1/3"], ["1", "1/3"]]}
+    eta = {"atoms": [[f"1/{n}", f"1/{m}"], ["1", f"{m - 1}/{m}"]]}
+    entries = [[f"1/{n}+1/{m}"] * 3] * 3
+    return {
+        "sfc": {"model": "sfc", "xi": xi, "eta": eta, "a_sq": "1/2", "y0_sq": "1/4"},
+        "explicit": {"model": "explicit", "alpha_sq": entries, "beta_sq": entries},
+    }
+
+
+@pytest.mark.parametrize("model", ["sfc", "explicit"])
+def test_reports_that_print_no_grid_rational_pass_past_the_digit_limit(tmp_path, capsys, model):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(_grids_past_the_digit_limit()[model]), encoding="utf-8")
+    code, out, err = run(capsys, ["joint", str(path), "--window", "1", "1", "--json"])
+    assert (code, err) == (0, "") and json.loads(out)["report"]["verdict"] is True
+    code, out, err = run(capsys, ["sixpoint", str(path), "--window", "1", "1"])
+    assert (code, out, err) == (0, "six-point test on [0,1] x [0,1]: PASS\n", "")
+    # the six-point report prints its matrix entries, so it still cannot stand
+    code, out, err = run(capsys, ["sixpoint", str(path), "--window", "1", "1", "--json"])
     assert code == 2 and out == ""
     assert err == f"error: a result has more than {sys.get_int_max_str_digits()} digits: too long to print\n"
 

@@ -40,6 +40,7 @@ from shiftlab.measures import (
     measure_sub,
 )
 from shiftlab.sfc import example_family, sfc_mu_m
+from specs import measure_json
 
 F = Fraction
 
@@ -355,7 +356,7 @@ def test_backward_ext_2var_rejects_infinite_norm():
 
 def test_measure_json_round_trip():
     eta1 = eta_one()
-    again = measure1d_from_json(eta1.to_json_obj())
+    again = measure1d_from_json(measure_json(eta1))
     assert again == eta1
 
 

@@ -13,16 +13,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab.measures import combine1d, delta, lebesgue, make1d
-from shiftlab.sfc import make_params, sfc_grid
+from shiftlab.sfc import make_params
 from shiftlab.shift1d import WeightTail, alpha_family, beta_r_family, bergman_like, khypo_witness, make_weights
 from shiftlab.shift2d import (
     build_explicit,
-    build_totallyflat,
     grid_from_json,
     joint_hyponormal_window,
     six_point_scan,
     window_indices,
 )
+from specs import sfc_grid_json, weights_json
 
 F = Fraction
 
@@ -38,13 +38,13 @@ def _named_specs():
     return [
         {"model": "figure9", "y_sq": "1/3"},
         {"model": "figure9", "y_sq": "1"},
-        build_totallyflat(alpha_family(), F(1, 8)).to_json_obj(),
-        build_totallyflat(flat_pair, F(1, 8)).to_json_obj(),
+        {"model": "totally_flat", "x_row": weights_json(alpha_family()), "y_sq": "1/8"},
+        {"model": "totally_flat", "x_row": weights_json(flat_pair), "y_sq": "1/8"},
         {"model": "figure5", "k2": 1, "alpha0_sq": "1/4"},
         {"model": "figure5", "k2": 2, "alpha0_sq": "1/4", "beta0_sq": "1/400"},
         {"model": "figure5", "k2": 3, "alpha0_sq": "1/4", "beta0_sq": "1/2097152"},  # fails at (0, 0)
-        sfc_grid(make_params(xi, eta, F(1, 2), F(12, 25))).to_json_obj(),
-        sfc_grid(make_params(xi, eta, F(5, 12), F(13, 16))).to_json_obj(),
+        sfc_grid_json(make_params(xi, eta, F(1, 2), F(12, 25))),
+        sfc_grid_json(make_params(xi, eta, F(5, 12), F(13, 16))),
     ]
 
 

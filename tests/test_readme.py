@@ -12,7 +12,7 @@ from shiftlab.cli import main
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # the examples whose every input and whole output the README shows
-CHECKED = ("moments", "check-khypo", "sixpoint", "joint", "scan")
+CHECKED = ("moments", "check-khypo", "sixpoint", "joint", "classify-sfc", "scan")
 
 
 def _sessions():

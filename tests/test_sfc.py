@@ -27,6 +27,7 @@ from shiftlab.sfc import (
     sfc_mu_m,
 )
 from shiftlab.shift2d import check_commuting, grid_from_json, joint_hyponormal_window, window_indices
+from specs import measure_json, sfc_grid_json
 
 F = Fraction
 
@@ -333,8 +334,8 @@ def test_scan_region_validation():
 def test_params_from_json_with_column_measure():
     p = example_family(F(1, 2), F(16, 25))
     doc = {
-        "xi": p.xi.to_json_obj(),
-        "eta": example_family_measures(F(16, 25))[1].to_json_obj(),
+        "xi": measure_json(p.xi),
+        "eta": measure_json(example_family_measures(F(16, 25))[1]),
         "a_sq": "1/2",
         "y0_sq": "12/25",
     }
@@ -344,19 +345,19 @@ def test_params_from_json_with_column_measure():
 
 def test_params_from_json_with_restricted_measure():
     p = example_family(F(1, 2), F(16, 25))
-    doc = sfc_grid(p).to_json_obj()
-    assert doc["model"] == "sfc" and "eta1" in doc
+    doc = {"xi": measure_json(p.xi), "eta1": measure_json(p.eta1), "a_sq": "1/2", "y0_sq": "12/25"}
     q = params_from_json(doc)
-    assert q.eta1 == p.eta1
+    assert q == p
     assert classify(q) == classify(p)
 
 
 def test_sfc_grid_spec_with_restricted_measure_round_trips():
+    # the spec written with eta1 gives back the params and the grid they build
     for a_sq, r_sq in ((F(1, 2), F(16, 25)), (F(1, 3), F(1)), (F(5, 12), F(1, 4))):
-        grid = sfc_grid(example_family(a_sq, r_sq))
-        again = grid_from_json(grid.to_json_obj())
-        assert again == grid
-        assert again.to_json_obj() == grid.to_json_obj()
+        p = example_family(a_sq, r_sq)
+        spec = sfc_grid_json(p)
+        assert params_from_json(spec) == p
+        grid, again = sfc_grid(p), grid_from_json(spec)
         assert check_commuting(again, 4, 4) is None
         for k in window_indices(4, 4):
             assert again.alpha_sq(*k) == grid.alpha_sq(*k)
@@ -365,15 +366,15 @@ def test_sfc_grid_spec_with_restricted_measure_round_trips():
 
 def test_params_from_json_errors():
     with pytest.raises(SFCError) as err:
-        params_from_json({"xi": three_atoms().to_json_obj()}, "doc")
+        params_from_json({"xi": measure_json(three_atoms())}, "doc")
     assert "missing field" in str(err.value)
     with pytest.raises(SFCError):
         params_from_json("not an object")
     with pytest.raises(SFCError) as err2:
         params_from_json(
             {
-                "xi": three_atoms().to_json_obj(),
-                "eta": half_density_half_atom().to_json_obj(),
+                "xi": measure_json(three_atoms()),
+                "eta": measure_json(half_density_half_atom()),
                 "a_sq": "1/x",
                 "y0_sq": "1/2",
             },

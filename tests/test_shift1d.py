@@ -32,6 +32,7 @@ from shiftlab.shift1d import (
     verify_berger,
     weights_from_json,
 )
+from specs import weights_json
 from test_exactnum import _psd_by_fraction_ldl
 
 F = Fraction
@@ -432,7 +433,7 @@ def test_weights_round_trip():
         flat_shift(F(1, 3)),
         make_weights((F(1, 2), F(3, 4))),
     ):
-        assert weights_from_json(w.to_json_obj()) == w
+        assert weights_from_json(weights_json(w)) == w
 
 
 def test_weights_json_errors():

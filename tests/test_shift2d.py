@@ -13,9 +13,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from shiftlab import verifysuite
 from shiftlab.cli import main
 from shiftlab.exactnum import format_rational, psd2_radical_cross
-from shiftlab.measures import combine1d, delta, lebesgue, make1d
+from shiftlab.measures import combine1d, delta, lebesgue, make1d, make2d
 from shiftlab.sfc import make_params, params_from_json, sfc_grid
 from shiftlab.shift1d import TAIL_KINDS, WeightSeq, WeightTail, alpha_family, bergman_like, make_weights
 from shiftlab.shift2d import (
@@ -33,6 +34,7 @@ from shiftlab.shift2d import (
     check_commuting,
     figure5_f,
     figure5_g,
+    figure9_standard_measures,
     figure9_subnormality,
     gamma2,
     gamma2_up_first,
@@ -44,6 +46,7 @@ from shiftlab.shift2d import (
     six_point_scan,
     window_indices,
 )
+from specs import measure_json, weights_json
 
 F = Fraction
 
@@ -115,6 +118,16 @@ def test_figure9_extension_reproduces_grid_moments():
             assert mu.moment(k1, k2) == gamma2(g, (k1, k2))
 
 
+def test_path_independence_pins_the_extremal_measure(monkeypatch):
+    # a core of total mass 1 whose t-part is delta(1/5), not 2t dt: its
+    # extremal measure has total mass 1 too, but the wrong moments
+    _, xi = figure9_standard_measures()
+    core = make2d([(F(1, 2), make1d([(F(0), F(1)), (F(1), F(1))]), delta(F(1, 5)))])
+    assert core.total_mass() == 1
+    monkeypatch.setattr(verifysuite, "figure9_standard_measures", lambda: (core, xi))
+    assert verifysuite.check_path_independence() is False
+
+
 def test_figure9_flatness():
     # horizontally flat only: on [1,5]^2 every alpha is alpha(1,1), not every beta is beta(1,1)
     g = build_figure9(F(1, 3))
@@ -155,13 +168,19 @@ def test_explicit_validation():
         build_explicit([[F(1), F(1)]], [[F(1), F(-1, 3)]])
 
 
+def _window_of(g, m, n):
+    """g's (alpha_sq, beta_sq) at each index of [0,m] x [0,n], in scan order."""
+    return [(g.alpha_sq(*k), g.beta_sq(*k)) for k in window_indices(m, n)]
+
+
 def test_explicit_entries_are_taken_as_fractions():
     # floats convert exactly, as make_weights converts them
     floats = build_explicit([[0.5, 1.0], [0.25, 2]], [[0.75, 0.375], [1, 1]])
     fractions = build_explicit([[F(1, 2), F(1)], [F(1, 4), F(2)]], [[F(3, 4), F(3, 8)], [F(1), F(1)]])
-    assert floats == fractions and type(floats.alpha_sq(0, 0)) is F
-    assert floats.to_json_obj()["alpha_sq"] == [["1/2", "1"], ["1/4", "2"]]
-    assert grid_from_json(floats.to_json_obj()) == floats
+    spec = {"model": "explicit", "alpha_sq": [["1/2", "1"], ["1/4", "2"]], "beta_sq": [["3/4", "3/8"], ["1", "1"]]}
+    for g in (floats, grid_from_json(spec)):
+        assert _window_of(g, 1, 1) == _window_of(fractions, 1, 1)
+    assert type(floats.alpha_sq(0, 0)) is F
     assert joint_hyponormal_window(floats, 0, 0) == joint_hyponormal_window(fractions, 0, 0)
 
 
@@ -630,7 +649,7 @@ def test_figure5_validation():
 def test_figure5_too_deep_to_print_is_a_grid_error():
     for alpha0_sq in (F(1, 4), F(1, 2), F(3, 4), F(1, 97), F(96, 97)):
         grid, _ = build_figure5(30, alpha0_sq)
-        assert grid.to_json_obj()["beta0_sq"].startswith("1/")
+        assert format_rational(grid.beta_sq(0, 0)).startswith("1/")
         for k2 in (31, 40):
             with pytest.raises(GridError, match=f"k2 = {k2} is too deep: the bottom seed beta0_sq has too many digits"):
                 build_figure5(k2, alpha0_sq)
@@ -645,7 +664,7 @@ def test_figure5_depth_is_bounded_with_the_digit_limit_off():
                 grid_from_json({"model": "figure5", "k2": 400, "alpha0_sq": "1/4", **extra})
         # a given bottom seed past the default limit prints, so it is no error
         grid, _ = build_figure5(2, F(1, 4), F(1, 10**5000))
-        assert grid.to_json_obj()["beta0_sq"] == f"1/{10**5000}"
+        assert format_rational(grid.beta_sq(0, 0)) == f"1/{10**5000}"
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -688,7 +707,7 @@ def test_display_bound_is_the_bergman_weight_reading():
 
 def test_figure5_explicit_seed_stops_at_the_chain_parameter_past_the_limit():
     grid, _ = build_figure5(95, F(1, 4), F(1, 1024))
-    assert grid.to_json_obj()["beta0_sq"] == "1/1024"
+    assert grid.beta_sq(0, 0) == F(1, 1024)
     message = f"k2 = 96 is too deep: the Bergman-like parameter of level 0 has more than {_digit_limit()} digits"
     with pytest.raises(GridError, match=message):
         build_figure5(96, F(1, 4), F(1, 1024))
@@ -720,7 +739,7 @@ def test_figure5_explicit_seed_past_the_digit_limit_is_too_deep():
     limit = 10 ** _digit_limit()
     # one digit short of the limit still prints, in the numerator or the denominator
     for fine in (F(1, limit - 1), F(limit - 1, 3)):
-        assert build_figure5(2, F(1, 4), fine)[0].to_json_obj()["beta0_sq"] == format_rational(fine)
+        assert format_rational(build_figure5(2, F(1, 4), fine)[0].beta_sq(0, 0)) == format_rational(fine)
     for deep in (F(1, 10**5000), F(10**5000, 3), F(1, limit), F(limit, 3)):
         with pytest.raises(GridError, match="k2 = 2 is too deep: the bottom seed beta0_sq has too many digits to print"):
             build_figure5(2, F(1, 4), deep)
@@ -1032,7 +1051,7 @@ def _scan_case(draw):
         return spec, m, n
     xi, eta = draw(_atomic_measure()), draw(_atomic_measure())
     a_sq, y0_sq = draw(_positive_unit), draw(_positive_unit)
-    spec = {"model": "sfc", "xi": xi.to_json_obj(), "eta": eta.to_json_obj()}
+    spec = {"model": "sfc", "xi": measure_json(xi), "eta": measure_json(eta)}
     return {**spec, "a_sq": str(a_sq), "y0_sq": str(y0_sq)}, m, n
 
 
@@ -1122,17 +1141,29 @@ def test_built_grids_commute_from_their_seeds(case):
 
 
 def test_grid_json_round_trips():
-    grids = [
-        build_figure9(F(1, 3)),
-        build_figure5(2, F(1, 4))[0],
-        build_figure5(3, F(1, 4), F(1, 2**22))[0],
-        build_totallyflat(alpha_family(), F(1, 8)),
-        build_explicit([[F(1, 2)]], [[F(1, 3)]]),
+    # a hand-written spec of each model reads back as the builder's grid
+    xi = three_atoms()
+    eta = combine1d([(F(1, 2), lebesgue()), (F(1, 2), delta(F(1)))])
+    fig5 = {"model": "figure5", "alpha0_sq": "1/4"}
+    cases = [
+        ({"model": "figure9", "y_sq": "1/3"}, build_figure9(F(1, 3)), 6),
+        ({**fig5, "k2": 2}, build_figure5(2, F(1, 4))[0], 6),
+        ({**fig5, "k2": 3, "beta0_sq": "1/4194304"}, build_figure5(3, F(1, 4), F(1, 2**22))[0], 6),
+        (
+            {"model": "totally_flat", "x_row": weights_json(alpha_family()), "y_sq": "1/8"},
+            build_totallyflat(alpha_family(), F(1, 8)),
+            6,
+        ),
+        (
+            {"model": "sfc", "xi": measure_json(xi), "eta": measure_json(eta), "a_sq": "1/2", "y0_sq": "12/25"},
+            sfc_grid(make_params(xi, eta, F(1, 2), F(12, 25))),
+            6,
+        ),
+        ({"model": "explicit", "alpha_sq": [["1/2"]], "beta_sq": [["1/3"]]}, build_explicit([[F(1, 2)]], [[F(1, 3)]]), 0),
     ]
-    for g in grids:
-        again = grid_from_json(g.to_json_obj())
-        assert again == g
-        assert again.alpha_sq(0, 0) == g.alpha_sq(0, 0)
+    for spec, g, side in cases:
+        again = grid_from_json(json.loads(json.dumps(spec)))
+        assert _window_of(again, side, side) == _window_of(g, side, side)
 
 
 def test_grid_json_errors():
